@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.analyze.diagnostics import Report, diag
 from repro.isa.program import QCCDProgram
 from repro.sim.batch import _merged_predecessors
-from repro.sim.engine import _op_records
+from repro.sim.engine import OpColumns, _op_columns
 
 Predecessors = Sequence[Union[int, Tuple[int, ...]]]
 
@@ -48,8 +48,9 @@ def detect_races(program: QCCDProgram, *,
     """
 
     report = Report()
-    records, resource_names = _op_records(program)
-    count = len(records)
+    columns = _op_columns(program)
+    resource_names = columns.resource_names
+    count = len(columns)
     if count == 0:
         return report
     if durations is None:
@@ -57,11 +58,11 @@ def detect_races(program: QCCDProgram, *,
     elif len(durations) != count:
         raise ValueError(f"expected {count} durations, got {len(durations)}")
 
-    trap_resources = _trap_resources(records, resource_names)
+    trap_resources = _trap_resources(columns)
 
     # --- RC001: dependency-only schedule, trap overlap ------------------- #
-    dep_start, dep_finish = _schedule_by_deps(records, durations)
-    for rid, claims in _claims_by_resource(records, dep_start, dep_finish):
+    dep_start, dep_finish = _schedule_by_deps(columns.deps, durations)
+    for rid, claims in _claims_by_resource(columns.rids, dep_start, dep_finish):
         if rid not in trap_resources:
             continue
         for earlier, later in _overlaps(claims):
@@ -77,12 +78,12 @@ def detect_races(program: QCCDProgram, *,
 
     # --- RC002/RC003: merged dep+resource schedule ----------------------- #
     merged = predecessors if predecessors is not None \
-        else _merged_predecessors(records)
+        else _merged_predecessors(columns)
     if len(merged) != count:
         raise ValueError(f"expected {count} predecessor entries, "
                          f"got {len(merged)}")
     start, finish = _schedule_by_predecessors(merged, durations)
-    for rid, claims in _claims_by_resource(records, start, finish):
+    for rid, claims in _claims_by_resource(columns.rids, start, finish):
         for earlier, later in _overlaps(claims):
             report.add(diag(
                 "RC002",
@@ -93,8 +94,8 @@ def detect_races(program: QCCDProgram, *,
                 hint="the sim/batch lowering would double-book this "
                      "resource; the predecessor table is missing the "
                      "last-user edge"))
-    for index, rec in enumerate(records):
-        for dep in rec.deps:
+    for index, deps in enumerate(columns.deps):
+        for dep in deps:
             if 0 <= dep < index and start[index] < finish[dep] - 1e-12:
                 report.add(diag(
                     "RC003",
@@ -108,20 +109,20 @@ def detect_races(program: QCCDProgram, *,
     return report
 
 
-def _trap_resources(records, resource_names: Tuple[str, ...]) -> frozenset:
+def _trap_resources(columns: OpColumns) -> frozenset:
     """Interned ids of resources that are traps (vs segments/junctions)."""
 
-    trap_names = {rec.trap for rec in records if rec.trap}
-    return frozenset(rid for rid, name in enumerate(resource_names)
+    trap_names = {trap for trap in columns.traps if trap}
+    return frozenset(rid for rid, name in enumerate(columns.resource_names)
                      if name in trap_names)
 
 
-def _schedule_by_deps(records, durations) -> Tuple[List[float], List[float]]:
-    start = [0.0] * len(records)
-    finish = [0.0] * len(records)
-    for index, rec in enumerate(records):
+def _schedule_by_deps(all_deps, durations) -> Tuple[List[float], List[float]]:
+    start = [0.0] * len(all_deps)
+    finish = [0.0] * len(all_deps)
+    for index, deps in enumerate(all_deps):
         begin = 0.0
-        for dep in rec.deps:
+        for dep in deps:
             if 0 <= dep < index and finish[dep] > begin:
                 begin = finish[dep]
         start[index] = begin
@@ -147,14 +148,12 @@ def _schedule_by_predecessors(merged: Predecessors,
     return start, finish
 
 
-def _claims_by_resource(records, start, finish):
+def _claims_by_resource(rids, start, finish):
     """Yield ``(rid, [(start, finish, op_index), ...])`` per resource."""
 
     claims: Dict[int, List[Tuple[float, float, int]]] = {}
-    for index, rec in enumerate(records):
-        for rid in rec.resources:
-            claims.setdefault(rid, []).append(
-                (start[index], finish[index], index))
+    for index, rid in enumerate(rids):
+        claims.setdefault(rid, []).append((start[index], finish[index], index))
     for rid in sorted(claims):
         yield rid, claims[rid]
 

@@ -8,7 +8,7 @@ static verifier plus the race detector -- and abort with
 :class:`StaticAnalysisError` on the first error-severity finding.
 
 Verification is memoized per program instance (an attribute stamped on the
-program, same trick as the engine's ``_sim_records`` cache), so a cached
+program, same trick as the engine's ``_sim_columns`` cache), so a cached
 program re-simulated across a 96-point sweep is verified once.  The
 off-path cost when the flag is unset is one truthiness test; the
 ``bench_check.py`` benchmark holds it under the same <1% budget as the

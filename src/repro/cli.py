@@ -93,7 +93,7 @@ from repro.visualize import device_report
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", default="L6",
                         help="device topology name, e.g. L6, G2x3, R8 (default: L6)")
-    parser.add_argument("--capacity", type=int, default=20,
+    parser.add_argument("--capacity", type=_positive_int, default=20,
                         help="ions per trap (default: 20)")
     parser.add_argument("--gate", default="FM", choices=["AM1", "AM2", "PM", "FM"],
                         help="two-qubit gate implementation (default: FM)")
@@ -108,6 +108,18 @@ def _positive_int(value: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return number
+
+
+def _input_error(exc: ValueError) -> int:
+    """Report an application or device parameter the model rejects.
+
+    Such values pass argparse's type checks (e.g. ``--qubits 1`` or
+    ``--topology R2``) but cannot be built; they are usage errors, reported
+    in one line with argparse's exit code instead of a traceback.
+    """
+
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _positive_float(value: str) -> float:
@@ -184,6 +196,10 @@ def _comma_ints(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _comma_positive_ints(text: str):
+    return tuple(_positive_int(str(number)) for number in _comma_ints(text))
+
+
 #: Objective names offered by --metric/--objectives (mirrors
 #: repro.dse.pareto.OBJECTIVES without importing the dse package at parser
 #: build time).
@@ -208,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="compile and simulate one application")
     run.add_argument("--app", required=True, choices=list(APPLICATION_NAMES),
                      help="application name from Table II")
-    run.add_argument("--qubits", type=int, default=None,
+    run.add_argument("--qubits", type=_positive_int, default=None,
                      help="override the application size (total qubits)")
     run.add_argument("--output", default=None, help="write the result as JSON")
     _add_check_argument(run)
@@ -300,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the comparison report as JSON")
 
     device = subparsers.add_parser("device", help="describe a candidate device")
-    device.add_argument("--qubits", type=int, default=None,
+    device.add_argument("--qubits", type=_positive_int, default=None,
                         help="ions to load (default: usable capacity)")
     _add_config_arguments(device)
 
@@ -327,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--app", default=None, choices=list(APPLICATION_NAMES),
                        help="compile one application with the architecture "
                             "flags and verify the program")
-    check.add_argument("--qubits", type=int, default=None,
+    check.add_argument("--qubits", type=_positive_int, default=None,
                        help="override the application size for --app")
     check.add_argument("--suite", action="store_true",
                        help="compile and verify the reduced 16-qubit suite "
@@ -380,11 +396,11 @@ def _add_space_arguments(parser: argparse.ArgumentParser) -> None:
                         help="JSON design-space spec file (overrides axis flags)")
     parser.add_argument("--apps", type=_comma_list, default=None,
                         help="comma-separated application names (e.g. QFT,BV)")
-    parser.add_argument("--qubits", type=_comma_ints, default=None,
+    parser.add_argument("--qubits", type=_comma_positive_ints, default=None,
                         help="comma-separated application sizes (default: paper scale)")
     parser.add_argument("--topologies", type=_comma_list, default=("L6",),
                         help="comma-separated topology names (default: L6)")
-    parser.add_argument("--capacities", type=_comma_ints,
+    parser.add_argument("--capacities", type=_comma_positive_ints,
                         default=(14, 18, 22, 26, 30, 34),
                         help="comma-separated trap capacities (default: paper sweep)")
     parser.add_argument("--gates", type=_comma_list, default=("FM",),
@@ -656,8 +672,12 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    circuit = build_application(args.app, num_qubits=args.qubits)
-    config = _config_from_args(args)
+    try:
+        circuit = build_application(args.app, num_qubits=args.qubits)
+        config = _config_from_args(args)
+        config.build_device(circuit.num_qubits)
+    except ValueError as exc:
+        return _input_error(exc)
     print(f"Application : {circuit.name} ({circuit.num_qubits} qubits, "
           f"{circuit.num_two_qubit_gates} two-qubit gates)")
     print(f"Architecture: {config.name}")
@@ -753,7 +773,7 @@ def _space_from_args(args):
         raise SystemExit("error: provide --space FILE or --apps (e.g. --apps QFT,BV)")
     return DesignSpace(
         apps=args.apps,
-        qubits=args.qubits if args.qubits else (None,),
+        qubits=args.qubits if args.qubits is not None else (None,),
         topologies=args.topologies,
         capacities=args.capacities,
         gates=args.gates,
@@ -1433,8 +1453,10 @@ def _cmd_dse(args, parser) -> int:
 
 
 def _cmd_device(args) -> int:
-    config = _config_from_args(args)
-    device = config.build_device(args.qubits)
+    try:
+        device = _config_from_args(args).build_device(args.qubits)
+    except ValueError as exc:
+        return _input_error(exc)
     print(device_report(device))
     return 0
 
@@ -1493,8 +1515,12 @@ def _cmd_check(args) -> int:
             report = merge_reports([report, detect_races(program)])
         sections.append((f"verify {args.program}", report))
     if args.app:
-        circuit = build_application(args.app, num_qubits=args.qubits)
-        config = _config_from_args(args)
+        try:
+            circuit = build_application(args.app, num_qubits=args.qubits)
+            config = _config_from_args(args)
+            config.build_device(circuit.num_qubits)
+        except ValueError as exc:
+            return _input_error(exc)
         sections.append((
             f"verify {circuit.name} on {config.name}",
             _verify_compiled(circuit, config, races=not args.no_races)))

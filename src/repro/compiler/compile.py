@@ -11,6 +11,13 @@ The pass follows Section VI of the paper:
    the departing state is not at the correct chain end;
 5. emit the gate itself, annotated with the chain length and ion separation
    the simulator needs to evaluate the performance and fidelity models.
+
+Everything step 1 and the loop need from the circuit alone -- the lowered
+gate list, each gate's kind, the two-qubit operand table, the interaction
+histogram, the per-qubit use lists and the dependency DAG -- is one
+:class:`_CircuitFacts`, memoised on the circuit (:meth:`Circuit.derived`).
+A sweep compiles each circuit for many architectures; it derives these facts
+once.  The loop then dispatches on the memoised gate kind.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from repro.compiler.scheduler import GateScheduler
 from repro.compiler.shuttle import emit_shuttle
 from repro.hardware.device import QCCDDevice
 from repro.ir.circuit import Circuit
+from repro.ir.dag import DependencyDAG
 from repro.ir.gate import Gate, GateKind
 from repro.isa.program import QCCDProgram
 from repro.obs.trace import span
@@ -67,23 +75,63 @@ class CompilerOptions:
             raise ValueError(f"unknown mapping strategy {self.mapping!r}; expected one of {valid}")
 
 
+class _CircuitFacts:
+    """What compiling needs from a circuit alone, derived in one pass.
+
+    Built once per circuit (and lowering choice) and memoised on it; the
+    compile loop only reads these tables, never mutates them.
+    """
+
+    __slots__ = ("circuit", "gates", "kinds", "two_qubit_operands",
+                 "interaction_weights", "uses", "dag")
+
+    def __init__(self, circuit: Circuit) -> None:
+        self.circuit = circuit
+        self.gates: List[Gate] = list(circuit)
+        self.kinds: List[GateKind] = [gate.kind for gate in self.gates]
+        #: Operand table (scheduler locality), interaction histogram (router
+        #: affinity) and per-qubit use lists (eviction policy), over the
+        #: two-qubit gates.
+        self.two_qubit_operands: Dict[int, tuple] = {}
+        self.interaction_weights: Dict[tuple, int] = {}
+        self.uses: Dict[int, List[int]] = {}
+        two_qubit = GateKind.TWO_QUBIT
+        for index, kind in enumerate(self.kinds):
+            if kind is not two_qubit:
+                continue
+            qubits = self.gates[index].qubits
+            qubit_a, qubit_b = qubits
+            self.two_qubit_operands[index] = qubits
+            key = (qubit_a, qubit_b) if qubit_a < qubit_b else (qubit_b, qubit_a)
+            self.interaction_weights[key] = self.interaction_weights.get(key, 0) + 1
+            self.uses.setdefault(qubit_a, []).append(index)
+            self.uses.setdefault(qubit_b, []).append(index)
+        self.dag = DependencyDAG(circuit)
+
+
+def _lowered_facts(circuit: Circuit) -> _CircuitFacts:
+    return _CircuitFacts(circuit.lowered())
+
+
+def _circuit_facts(circuit: Circuit, lower_to_native: bool = True) -> _CircuitFacts:
+    """The memoised :class:`_CircuitFacts` of ``circuit`` (lowered or as is)."""
+
+    if lower_to_native:
+        return circuit.derived("compile.lowered", _lowered_facts)
+    return circuit.derived("compile.native", _CircuitFacts)
+
+
 class _NextUseTracker:
     """Answers "when is this qubit needed next?" for the eviction policy."""
 
-    def __init__(self, circuit: Circuit,
-                 uses: Optional[Dict[int, List[int]]] = None) -> None:
-        if uses is None:
-            uses = {}
-            for index, gate in enumerate(circuit.gates):
-                if gate.kind is GateKind.TWO_QUBIT:
-                    for qubit in gate.qubits:
-                        uses.setdefault(qubit, []).append(index)
+    def __init__(self, uses: Dict[int, List[int]]) -> None:
         self._uses: Dict[int, List[int]] = uses
         self._pointers: Dict[int, int] = {qubit: 0 for qubit in self._uses}
         self._emitted: set = set()
 
     def mark_emitted(self, gate_index: int) -> None:
-        """Record that a gate has been compiled."""
+        """Record that a two-qubit gate has been compiled (other gates never
+        appear in a use list)."""
 
         self._emitted.add(gate_index)
 
@@ -116,7 +164,10 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
                      options: CompilerOptions) -> QCCDProgram:
     if options.lower_to_native:
         with span("compile.lower"):
-            circuit = circuit.lowered()
+            facts = _circuit_facts(circuit, True)
+    else:
+        facts = _circuit_facts(circuit, False)
+    circuit = facts.circuit
     if circuit.num_qubits > device.num_qubits:
         raise ValueError(
             f"circuit uses {circuit.num_qubits} qubits but the device only loads "
@@ -128,49 +179,48 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
     placement = state.snapshot_placement()
     builder = ProgramBuilder()
 
-    # One preprocessing pass derives everything the loop needs per two-qubit
-    # gate: operand table (scheduler locality), interaction histogram (router
-    # affinity) and per-qubit use lists (eviction policy), with a single kind
-    # classification per gate.
-    two_qubit_operands: Dict[int, tuple] = {}
-    interaction_weights: Dict[tuple, int] = {}
-    uses: Dict[int, List[int]] = {}
-    for index, gate in enumerate(circuit):
-        if gate.kind is not GateKind.TWO_QUBIT:
-            continue
-        qubit_a, qubit_b = gate.qubits
-        two_qubit_operands[index] = gate.qubits
-        key = (qubit_a, qubit_b) if qubit_a < qubit_b else (qubit_b, qubit_a)
-        interaction_weights[key] = interaction_weights.get(key, 0) + 1
-        uses.setdefault(qubit_a, []).append(index)
-        uses.setdefault(qubit_b, []).append(index)
-
-    next_use = _NextUseTracker(circuit, uses=uses)
+    two_qubit_operands = facts.two_qubit_operands
+    next_use = _NextUseTracker(facts.uses)
     router = Router(state, device, next_use=next_use.next_use,
-                    interaction_weights=interaction_weights,
+                    interaction_weights=facts.interaction_weights,
                     policy=options.routing)
     trap_of_qubit = state.trap_of_qubit
 
     def is_local(gate_index: int) -> bool:
-        operands = two_qubit_operands.get(gate_index)
-        if operands is None:
-            return True
+        operands = two_qubit_operands[gate_index]
         return trap_of_qubit(operands[0]) == trap_of_qubit(operands[1])
 
     scheduler = GateScheduler(circuit, is_local=is_local,
-                              two_qubit_operands=two_qubit_operands)
+                              two_qubit_operands=two_qubit_operands,
+                              dag=facts.dag)
+    gates = facts.gates
+    kinds = facts.kinds
+    next_gate = scheduler.next_gate
+    mark_done = scheduler.mark_done
+    mark_emitted = next_use.mark_emitted
+    single_qubit = GateKind.SINGLE_QUBIT
+    two_qubit = GateKind.TWO_QUBIT
+    measurement = GateKind.MEASUREMENT
     # One span covers the interleaved schedule/route/reorder loop: gates are
     # scheduled earliest-ready-first, routed (shuttle planning + chain
     # reordering) and emitted in the same pass.
     with span("compile.route", policy=options.routing,
               gates=len(two_qubit_operands)):
-        while not scheduler.done():
-            index = scheduler.next_gate()
-            moved_qubits = _emit_gate(circuit[index], builder, state, device, router)
-            if moved_qubits:
-                scheduler.note_qubits_moved(moved_qubits)
-            next_use.mark_emitted(index)
-            scheduler.mark_done(index)
+        for _ in range(len(gates)):
+            index = next_gate()
+            kind = kinds[index]
+            if kind is single_qubit:
+                _emit_single_qubit(gates[index], builder, state)
+            elif kind is two_qubit:
+                moved_qubits = _emit_two_qubit(gates[index], builder, state,
+                                               device, router)
+                if moved_qubits:
+                    scheduler.note_qubits_moved(moved_qubits)
+                mark_emitted(index)
+            elif kind is measurement:
+                _emit_measurement(gates[index], builder, state)
+            # Barriers emit nothing.
+            mark_done(index)
 
     if options.validate:
         with span("compile.validate"):
@@ -183,7 +233,7 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
         device_name=device.name,
         metadata={
             "num_program_qubits": circuit.num_qubits,
-            "num_circuit_two_qubit_gates": circuit.num_two_qubit_gates,
+            "num_circuit_two_qubit_gates": len(two_qubit_operands),
             "mapping": options.mapping,
             "gate": device.gate.value,
             "reorder": device.reorder.value,
@@ -197,26 +247,6 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
 
 
 # --------------------------------------------------------------------------- #
-def _emit_gate(gate: Gate, builder: ProgramBuilder, state: PlacementState,
-               device: QCCDDevice, router: Router) -> List[int]:
-    """Emit one IR gate (plus any communication it needs).
-
-    Returns the program qubits whose trap changed while emitting the gate, so
-    the compile loop can invalidate the scheduler's and router's caches.
-    """
-
-    kind = gate.kind
-    if kind is GateKind.BARRIER:
-        return []
-    if kind is GateKind.SINGLE_QUBIT:
-        _emit_single_qubit(gate, builder, state)
-        return []
-    if kind is GateKind.MEASUREMENT:
-        _emit_measurement(gate, builder, state)
-        return []
-    return _emit_two_qubit(gate, builder, state, device, router)
-
-
 def _emit_single_qubit(gate: Gate, builder: ProgramBuilder, state: PlacementState) -> None:
     qubit = gate.qubits[0]
     trap = state.trap_of_qubit(qubit)

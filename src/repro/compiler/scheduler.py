@@ -14,13 +14,16 @@ against its live placement state without the scheduler importing it.
 Implementation: ready gates live in a *two-tier heap* -- one min-heap of
 locally-executable gates and one of gates that would need communication.
 ``next_gate`` pops the smallest local gate, falling back to the smallest
-remote gate, in O(log W) for ready-list width W.  Locality of a ready gate
-only changes when one of its operands moves between traps, so the compile
-loop reports shuttled qubits via :meth:`note_qubits_moved` and only the
-affected gates are re-classified (lazy invalidation: the entry in the stale
-tier is skipped when it surfaces).  This replaces the seed implementation's
-per-pop ``sorted()`` scan plus full ``heapq.heapify`` rebuild while emitting
-gates in exactly the same order.
+remote gate, in O(log W) for ready-list width W.  Single-qubit gates,
+measurements and barriers are local by definition, so they enter the local
+tier without a locality probe; only two-qubit gates are classified.  Their
+locality only changes when one of their operands moves between traps, so the
+compile loop reports shuttled qubits via :meth:`note_qubits_moved` and only
+the affected gates are re-classified (lazy invalidation: the entry in the
+stale tier is skipped when it surfaces).  Unlocking successors walks the
+DAG's shared successor lists, and completion is a counter.  The compile loop
+passes in the circuit's memoised DAG and operand table, so repeated compiles
+of one circuit build neither.
 """
 
 from __future__ import annotations
@@ -38,12 +41,18 @@ class GateScheduler:
 
     def __init__(self, circuit: Circuit,
                  is_local: Optional[Callable[[int], bool]] = None,
-                 two_qubit_operands: Optional[Dict[int, tuple]] = None) -> None:
+                 two_qubit_operands: Optional[Dict[int, tuple]] = None,
+                 dag: Optional[DependencyDAG] = None) -> None:
         self.circuit = circuit
-        self.dag = DependencyDAG(circuit)
+        self.dag = dag if dag is not None else DependencyDAG(circuit)
+        #: Locality probe, consulted for two-qubit gates only.
         self._is_local = is_local or (lambda index: True)
         self._remaining_preds = self.dag.in_degrees()
-        self._emitted: Set[int] = set()
+        self._successors = self.dag.successor_lists
+        self._num_gates = self.dag.num_gates
+        self._num_emitted = 0
+        #: Per-gate "already handed to mark_done" flags.
+        self._emitted = bytearray(self._num_gates)
         #: Ready gate indices (the union of both heap tiers, without stale
         #: duplicates).
         self._ready: Set[int] = set()
@@ -71,16 +80,24 @@ class GateScheduler:
         """Classify a newly-ready gate and push it into the right tier."""
 
         self._ready.add(index)
+        operands = self._two_qubit_operands.get(index)
+        if operands is None:
+            self._local_flag[index] = True
+            heapq.heappush(self._local_heap, index)
+            return
         local = bool(self._is_local(index))
         self._local_flag[index] = local
         if local:
             heapq.heappush(self._local_heap, index)
         else:
             heapq.heappush(self._remote_heap, index)
-        operands = self._two_qubit_operands.get(index)
-        if operands is not None:
-            for qubit in operands:
-                self._by_qubit.setdefault(qubit, set()).add(index)
+        by_qubit = self._by_qubit
+        for qubit in operands:
+            members = by_qubit.get(qubit)
+            if members is None:
+                by_qubit[qubit] = {index}
+            else:
+                members.add(index)
 
     def note_qubits_moved(self, qubits) -> None:
         """Re-classify ready gates whose operand ``qubits`` changed traps.
@@ -120,12 +137,12 @@ class GateScheduler:
     def num_emitted(self) -> int:
         """Gates already handed out."""
 
-        return len(self._emitted)
+        return self._num_emitted
 
     def done(self) -> bool:
         """Whether every gate has been scheduled."""
 
-        return len(self._emitted) == self.dag.num_gates
+        return self._num_emitted == self._num_gates
 
     def ready_gates(self) -> List[int]:
         """Currently ready gate indices, in program order."""
@@ -160,12 +177,15 @@ class GateScheduler:
     def mark_done(self, index: int) -> None:
         """Record that ``index`` has been emitted; unlock its successors."""
 
-        if index in self._emitted:
+        if self._emitted[index]:
             raise ValueError(f"gate {index} already marked done")
-        self._emitted.add(index)
-        for successor in self.dag.successors(index):
-            self._remaining_preds[successor] -= 1
-            if self._remaining_preds[successor] == 0:
+        self._emitted[index] = 1
+        self._num_emitted += 1
+        remaining = self._remaining_preds
+        for successor in self._successors[index]:
+            count = remaining[successor] - 1
+            remaining[successor] = count
+            if not count:
                 self._push_ready(successor)
 
     def schedule(self) -> List[int]:

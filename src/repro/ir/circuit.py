@@ -4,14 +4,23 @@ Circuits in this toolflow are always fully unrolled (Section VI of the paper):
 no loops, no classical control.  The class therefore stays deliberately
 simple -- an immutable-ish gate list with builder helpers, statistics used by
 the experiment tables, and a lowering pass to the trapped-ion native set.
+
+Facts derived from the gate list alone (the compiler's lowering, operand
+tables and dependency DAG) are memoised on the circuit through
+:meth:`Circuit.derived` and dropped by :meth:`Circuit.append`, the only path
+that mutates the gate list.  A sweep that compiles one circuit for many
+architectures therefore derives them once.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from repro.ir.gate import Gate, GateKind
+
+_T = TypeVar("_T")
 
 
 class Circuit:
@@ -35,6 +44,8 @@ class Circuit:
         self.num_qubits = int(num_qubits)
         self.name = name
         self._gates: List[Gate] = []
+        #: Memoised facts derived from the gate list (see :meth:`derived`).
+        self._derived: Dict[str, object] = {}
         for gate in gates or ():
             self.append(gate)
 
@@ -49,7 +60,30 @@ class Circuit:
                 f"gate {gate} references qubit >= num_qubits ({self.num_qubits})"
             )
         self._gates.append(gate)
+        if self._derived:
+            self._derived = {}
         return self
+
+    def derived(self, key: str, build: Callable[["Circuit"], _T]) -> _T:
+        """``build(self)``, computed once per gate list and memoised under ``key``.
+
+        For facts that depend on the gates alone.  :meth:`append` drops every
+        memoised fact, so a mutated circuit never serves a stale one.  Callers
+        must treat the returned object as read-only.
+        """
+
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = build(self)
+            self._derived[key] = value
+            return value
+
+    def __getstate__(self) -> dict:
+        # The memo is a cache: rebuilt on demand, never shipped to workers.
+        state = self.__dict__.copy()
+        state["_derived"] = {}
+        return state
 
     def add(self, name: str, *qubits: int, params: Sequence[float] = ()) -> "Circuit":
         """Convenience builder: ``circuit.add("cx", 0, 1)``."""

@@ -59,6 +59,16 @@ class DependencyDAG:
 
         return tuple(self._successors[index])
 
+    @property
+    def successor_lists(self) -> List[List[int]]:
+        """Every gate's successor list, indexed by gate (read-only).
+
+        The shared internal lists, without the per-call copy of
+        :meth:`successors`: for hot loops that walk the whole DAG.
+        """
+
+        return self._successors
+
     def roots(self) -> List[int]:
         """Gates with no predecessors (ready at time zero)."""
 

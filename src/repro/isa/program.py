@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.isa.operations import OpKind, Operation
+from repro.isa.operations import OpKind, Operation, SplitOp
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,19 @@ class QCCDProgram:
     @property
     def num_shuttles(self) -> int:
         """Number of trap-to-trap ion shuttles (counted as splits that leave a
-        trap toward another trap, i.e. every SplitOp)."""
+        trap toward another trap, i.e. every SplitOp).
 
-        return self.count(OpKind.SPLIT)
+        Counted once per operation list: the count is memoised against the
+        identity of ``operations``, like the simulator's lowering cache, so
+        the sweeps that ask for it per design point do not rescan every op.
+        """
+
+        cached = getattr(self, "_num_shuttles", None)
+        if cached is not None and cached[0] is self.operations:
+            return cached[1]
+        count = sum(1 for op in self.operations if isinstance(op, SplitOp))
+        self._num_shuttles = (self.operations, count)
+        return count
 
     @property
     def num_communication_ops(self) -> int:

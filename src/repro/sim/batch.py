@@ -8,10 +8,11 @@ parameter vectors (the heating/fidelity ablations).  The serial engine
 variant, recomputing a dependency/resource timeline that is byte-identical
 across most of the fan-out.
 
-This module lowers a program once into a :class:`BatchPlan` -- a
-struct-of-arrays view with flat parallel arrays for op codes, merged
-dependency/resource predecessor lists and the model-facing annotation slots
--- and then evaluates a whole axis of variants against it:
+This module lowers a program once into a :class:`BatchPlan` -- built on the
+serial engine's columnar lowering (:class:`~repro.sim.engine.OpColumns`),
+with merged dependency/resource predecessor lists and the model-facing
+fidelity and heating schedules -- and then evaluates a whole axis of
+variants against it:
 
 * **Merged predecessors.**  In the serial engine an operation waits on its
   dependencies (``finish``) and on its exclusive resources (``free_at``).
@@ -77,8 +78,9 @@ from repro.sim.engine import (
     _MOVE,
     _SPLIT,
     _SWAP_GATE,
+    OpColumns,
     _durations,
-    _op_records,
+    _op_columns,
 )
 from repro.sim.results import SimulationResult
 
@@ -93,31 +95,55 @@ _H_SNAPSHOT, _H_SPLIT, _H_MERGE, _H_MOVE, _H_JUNCTION, _H_ION_SWAP = range(6)
 _MS_PER_SWAP = 3  # SwapGateOp.MS_GATES_PER_SWAP; asserted at import below
 
 
-def _merged_predecessors(records) -> List[Union[int, Tuple[int, ...]]]:
+def _merged_predecessors(columns: OpColumns) -> List[Union[int, Tuple[int, ...]]]:
     """Dependency + resource predecessors per op, deduplicated.
 
-    The resource predecessor of op ``i`` on resource ``r`` is the previous op
-    in program order using ``r`` (exactly what ``free_at[r]`` holds when the
-    serial engine reaches ``i``).  Predecessor indices ``>= i`` are dropped:
-    the serial engine reads their still-unset finish time of ``0.0`` there,
+    The resource predecessor of op ``i`` is the previous op in program order
+    using its resource (exactly what ``free_at[rid]`` holds when the serial
+    engine reaches ``i``).  Predecessor indices ``>= i`` are dropped: the
+    serial engine reads their still-unset finish time of ``0.0`` there,
     which contributes nothing to the running max.  Single-predecessor entries
     (the overwhelmingly common case) are stored as bare ints so the timeline
-    walk skips the max loop entirely.
+    walk skips the max loop entirely; multi-predecessor entries are ascending
+    tuples.
     """
 
     last_user: Dict[int, int] = {}
     merged: List[Union[int, Tuple[int, ...]]] = []
-    for index, rec in enumerate(records):
-        preds = {dep for dep in rec.deps if dep < index}
-        for rid in rec.resources:
-            prev = last_user.get(rid)
-            if prev is not None:
-                preds.add(prev)
-            last_user[rid] = index
+    append = merged.append
+    for index, (deps, rid) in enumerate(zip(columns.deps, columns.rids)):
+        prev = last_user.get(rid)
+        last_user[rid] = index
+        if not deps:
+            append(() if prev is None else prev)
+            continue
+        # Fast paths for the builder's ascending one- and two-dependency
+        # tuples; anything else takes the general set-and-sort path.
+        if len(deps) == 1 and deps[0] < index:
+            dep = deps[0]
+            if prev is None or prev == dep:
+                append(dep)
+            else:
+                append((dep, prev) if dep < prev else (prev, dep))
+            continue
+        if len(deps) == 2 and deps[0] < deps[1] < index:
+            low, high = deps
+            if prev is None or prev == low or prev == high:
+                append(deps)
+            elif prev < low:
+                append((prev, low, high))
+            elif prev < high:
+                append((low, prev, high))
+            else:
+                append((low, high, prev))
+            continue
+        preds = {dep for dep in deps if dep < index}
+        if prev is not None:
+            preds.add(prev)
         if len(preds) == 1:
-            merged.append(preds.pop())
+            append(preds.pop())
         else:
-            merged.append(tuple(sorted(preds)))
+            append(tuple(sorted(preds)))
     return merged
 
 
@@ -171,7 +197,7 @@ class BatchPlan:
     """Struct-of-arrays lowering of one compiled program, with variant caches.
 
     Built once per program (and cached on it, keyed by the identity of the
-    operation list like the serial engine's record cache), then reused by
+    operation list like the serial engine's column cache), then reused by
     every batch-simulation call.  The plan owns the memo layers shared across
     variants:
 
@@ -186,48 +212,52 @@ class BatchPlan:
     """
 
     def __init__(self, program: QCCDProgram) -> None:
-        records, resource_names = _op_records(program)
+        columns = _op_columns(program)
         self.operations = program.operations
-        self.records = records
-        self.resource_names = resource_names
-        self.num_ops = len(records)
-        self.preds = _merged_predecessors(records)
-        self.is_comm = [rec.is_comm for rec in records]
+        self.columns = columns
+        self.resource_names = columns.resource_names
+        self.num_ops = len(columns)
+        self.preds = _merged_predecessors(columns)
+        self.is_comm = columns.is_comm
 
+        traps = columns.traps
+        ions = columns.ions
+        chain_sizes = columns.chain_sizes
         op_count_by_code = [0] * 9
         first_seen: List[int] = []
         chain_lengths: List[int] = []
         cl_index: Dict[int, int] = {}
         fid_items: List[object] = []
         heat_items: List[Tuple] = []
-        for index, rec in enumerate(records):
-            code = rec.code
+        for index, code in enumerate(columns.codes):
             if not op_count_by_code[code]:
                 first_seen.append(code)
             op_count_by_code[code] += 1
             if code == _GATE_2Q or code == _SWAP_GATE:
-                slot = cl_index.get(rec.chain_length)
+                chain_length = columns.chain_lengths[index]
+                slot = cl_index.get(chain_length)
                 if slot is None:
                     slot = len(chain_lengths)
-                    cl_index[rec.chain_length] = slot
-                    chain_lengths.append(rec.chain_length)
+                    cl_index[chain_length] = slot
+                    chain_lengths.append(chain_length)
                 reps = 1 if code == _GATE_2Q else _MS_PER_SWAP
                 fid_items.append((index, slot, reps))
-                heat_items.append((_H_SNAPSHOT, rec.trap))
+                heat_items.append((_H_SNAPSHOT, traps[index]))
             elif code == _GATE_1Q:
                 fid_items.append(_FID_1Q)
             elif code == _MEASURE:
                 fid_items.append(_FID_MEASURE)
             elif code == _SPLIT:
-                heat_items.append((_H_SPLIT, rec.trap, rec.ion, rec.chain_size))
+                heat_items.append((_H_SPLIT, traps[index], ions[index],
+                                   chain_sizes[index]))
             elif code == _MERGE:
-                heat_items.append((_H_MERGE, rec.trap, rec.ion))
+                heat_items.append((_H_MERGE, traps[index], ions[index]))
             elif code == _MOVE:
-                heat_items.append((_H_MOVE, rec.ion, rec.length))
+                heat_items.append((_H_MOVE, ions[index], columns.lengths[index]))
             elif code == _JUNCTION:
-                heat_items.append((_H_JUNCTION, rec.ion))
+                heat_items.append((_H_JUNCTION, ions[index]))
             else:  # _ION_SWAP
-                heat_items.append((_H_ION_SWAP, rec.trap, rec.chain_size))
+                heat_items.append((_H_ION_SWAP, traps[index], chain_sizes[index]))
 
         self.fid_items = fid_items
         self.heat_items = heat_items
@@ -266,12 +296,11 @@ class BatchPlan:
             for rid, name in enumerate(self.resource_names):
                 if name in members:
                     per_rid[rid] = (name, [], [])
-            for index, rec in enumerate(self.records):
-                is_comm = rec.is_comm
-                for rid in rec.resources:
-                    entry = per_rid.get(rid)
-                    if entry is not None:
-                        entry[2 if is_comm else 1].append(index)
+            for index, (rid, is_comm) in enumerate(
+                    zip(self.columns.rids, self.is_comm)):
+                entry = per_rid.get(rid)
+                if entry is not None:
+                    entry[2 if is_comm else 1].append(index)
             lists = list(per_rid.values())
             self._busy_lists[trap_names] = lists
         return lists
@@ -528,7 +557,7 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
     slot_key = (gate, model.shuttle, model.single_qubit)
     slot = plan._duration_slots.get(slot_key)
     if slot is None:
-        durations = _durations(program, plan.records, _DeviceView(gate, model))
+        durations = _durations(program, plan.columns, _DeviceView(gate, model))
         timeline = plan.timeline_for(durations, trap_names)
         plan._duration_slots[slot_key] = (durations, timeline)
     else:

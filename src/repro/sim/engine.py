@@ -8,12 +8,14 @@ ran them as three separate passes over the operation objects, plus a *fourth*
 pass (a second timing pass with communication durations zeroed) for the
 computation/communication breakdown of Figure 6b.
 
-This implementation makes a single dispatch-table-driven pass over
-*precomputed per-op records*: each operation is lowered once per program to a
-compact record (integer kind code, resource ids interned to ints, the
-annotations the models need) that is cached on the program, so re-simulating
-the same program under a different gate implementation -- the Figure 8
-fan-out -- skips all of the isinstance/property dispatch.  The fused loop
+This implementation makes a single dispatch-table-driven pass over a
+*columnar lowering* of the program (:class:`OpColumns`): one list per field
+-- integer kind code, dependency tuple, the op's one exclusive resource
+interned to an int, trap, ion and the annotations the models need -- built
+once per program and cached on it.  Re-simulating the same program under a
+different gate implementation (the Figure 8 fan-out) therefore skips all of
+the isinstance/property dispatch, and a compiled program adds a dozen lists,
+not one object per op, for the garbage collector to track.  The fused loop
 advances the real timeline, the zero-communication timeline (for the
 Figure 6b breakdown), the per-trap busy accounting and the heating/fidelity
 state together.  Every arithmetic expression matches the seed implementation
@@ -46,7 +48,7 @@ from repro.obs.trace import span
 from repro.sim.results import OperationRecord, SimulationResult
 
 # --------------------------------------------------------------------------- #
-# Precomputed per-op records
+# Columnar per-op lowering
 # --------------------------------------------------------------------------- #
 #: Integer kind codes used by the dispatch loops (cheaper than enum identity).
 _GATE_1Q, _GATE_2Q, _SWAP_GATE, _MEASURE, _SPLIT, _MERGE, _MOVE, _JUNCTION, _ION_SWAP = range(9)
@@ -68,94 +70,136 @@ _CODE_TO_KIND: Dict[int, OpKind] = {
 _COMM_CODES = frozenset({_SWAP_GATE, _SPLIT, _MERGE, _MOVE, _JUNCTION, _ION_SWAP})
 
 
-class _OpRecord:
-    """Flat, device-independent view of one operation."""
+class OpColumns:
+    """Columnar, device-independent view of a program: one list per field.
 
-    __slots__ = ("code", "deps", "resources", "is_comm", "trap", "ion",
-                 "chain_length", "ion_distance", "chain_size", "length",
-                 "junction_degree")
+    Index ``i`` of every column describes operation ``i``.  Fields an op
+    type does not have hold a neutral filler (``""``, ``-1`` for ``ions``,
+    ``0`` otherwise).
 
-    def __init__(self) -> None:
-        self.code = -1
-        self.deps: Tuple[int, ...] = ()
-        self.resources: Tuple[int, ...] = ()
-        self.is_comm = False
-        self.trap = ""
-        self.ion = -1
-        self.chain_length = 0
-        self.ion_distance = 0
-        self.chain_size = 0
-        self.length = 0
-        self.junction_degree = 0
-
-
-def _op_records(program: QCCDProgram) -> Tuple[List[_OpRecord], Tuple[str, ...]]:
-    """Lower ``program`` to records; cached on the program instance.
-
-    Returns ``(records, resource_names)`` where ``resource_names[rid]`` is the
-    hardware resource interned as integer ``rid``.  The cache key is the
-    identity of the operation list, so the (immutable in practice) program can
-    be re-simulated under many devices without re-lowering.
+    Attributes
+    ----------
+    codes:
+        Integer kind code (``_GATE_1Q`` ... ``_ION_SWAP``).
+    deps:
+        ``op.dependencies``.
+    rids:
+        The op's one exclusive resource (``op.resources[0]``), interned:
+        ``resource_names[rids[i]]`` is its name.
+    is_comm:
+        Whether the op exists only for communication.
+    traps:
+        ``op.trap`` (``""`` for moves and junction crossings).
+    ions:
+        ``op.ion`` for single-ion ops (``-1`` for gates and ion swaps).
+    chain_lengths, ion_distances:
+        Gate and gate-swap annotations.
+    chain_sizes:
+        Split and ion-swap annotation.
+    lengths:
+        Move segment length.
+    junction_degrees:
+        Junction-crossing degree.
+    resource_names:
+        Interned resource names, in order of first use.
     """
 
-    cached = getattr(program, "_sim_records", None)
+    __slots__ = ("codes", "deps", "rids", "is_comm", "traps", "ions",
+                 "chain_lengths", "ion_distances", "chain_sizes", "lengths",
+                 "junction_degrees", "resource_names")
+
+    def __init__(self, operations) -> None:
+        count = len(operations)
+        codes = [0] * count
+        rids = [0] * count
+        traps = [""] * count
+        ions = [-1] * count
+        chain_lengths = [0] * count
+        ion_distances = [0] * count
+        chain_sizes = [0] * count
+        lengths = [0] * count
+        junction_degrees = [0] * count
+        intern: Dict[str, int] = {}
+        for index, op in enumerate(operations):
+            cls = type(op)
+            if cls is GateOp:
+                codes[index] = _GATE_2Q if len(op.ions) == 2 else _GATE_1Q
+                resource = traps[index] = op.trap
+                chain_lengths[index] = op.chain_length
+                ion_distances[index] = op.ion_distance
+            elif cls is SwapGateOp:
+                codes[index] = _SWAP_GATE
+                resource = traps[index] = op.trap
+                chain_lengths[index] = op.chain_length
+                ion_distances[index] = op.ion_distance
+            elif cls is MeasureOp:
+                codes[index] = _MEASURE
+                resource = traps[index] = op.trap
+                ions[index] = op.ion
+            elif cls is SplitOp:
+                codes[index] = _SPLIT
+                resource = traps[index] = op.trap
+                ions[index] = op.ion
+                chain_sizes[index] = op.chain_size
+            elif cls is MergeOp:
+                codes[index] = _MERGE
+                resource = traps[index] = op.trap
+                ions[index] = op.ion
+            elif cls is MoveOp:
+                codes[index] = _MOVE
+                resource = op.segment
+                ions[index] = op.ion
+                lengths[index] = op.length
+            elif cls is JunctionCrossOp:
+                codes[index] = _JUNCTION
+                resource = op.junction
+                ions[index] = op.ion
+                junction_degrees[index] = op.junction_degree
+            elif cls is IonSwapOp:
+                codes[index] = _ION_SWAP
+                resource = traps[index] = op.trap
+                chain_sizes[index] = op.chain_size
+            else:
+                raise TypeError(f"unknown operation type: {cls.__name__}")
+            rid = intern.get(resource)
+            if rid is None:
+                rid = intern[resource] = len(intern)
+            rids[index] = rid
+        self.codes = codes
+        self.deps = [op.dependencies for op in operations]
+        self.rids = rids
+        self.is_comm = [code in _COMM_CODES for code in codes]
+        self.traps = traps
+        self.ions = ions
+        self.chain_lengths = chain_lengths
+        self.ion_distances = ion_distances
+        self.chain_sizes = chain_sizes
+        self.lengths = lengths
+        self.junction_degrees = junction_degrees
+        self.resource_names: Tuple[str, ...] = tuple(intern)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+def _op_columns(program: QCCDProgram) -> OpColumns:
+    """Lower ``program`` to :class:`OpColumns`; cached on the program.
+
+    The cache key is the identity of the operation list, so the (immutable
+    in practice) program can be re-simulated under many devices without
+    re-lowering.
+    """
+
+    cached = getattr(program, "_sim_columns", None)
     if cached is not None and cached[0] is program.operations:
-        return cached[1], cached[2]
+        return cached[1]
     program._sim_durations = {}
-
-    intern: Dict[str, int] = {}
-    records: List[_OpRecord] = []
-    for op in program.operations:
-        rec = _OpRecord()
-        rec.deps = op.dependencies
-        if isinstance(op, GateOp):
-            rec.code = _GATE_2Q if len(op.ions) == 2 else _GATE_1Q
-            rec.trap = op.trap
-            rec.chain_length = op.chain_length
-            rec.ion_distance = op.ion_distance
-        elif isinstance(op, SwapGateOp):
-            rec.code = _SWAP_GATE
-            rec.trap = op.trap
-            rec.chain_length = op.chain_length
-            rec.ion_distance = op.ion_distance
-        elif isinstance(op, MeasureOp):
-            rec.code = _MEASURE
-            rec.trap = op.trap
-        elif isinstance(op, SplitOp):
-            rec.code = _SPLIT
-            rec.trap = op.trap
-            rec.ion = op.ion
-            rec.chain_size = op.chain_size
-        elif isinstance(op, MergeOp):
-            rec.code = _MERGE
-            rec.trap = op.trap
-            rec.ion = op.ion
-        elif isinstance(op, MoveOp):
-            rec.code = _MOVE
-            rec.ion = op.ion
-            rec.length = op.length
-        elif isinstance(op, JunctionCrossOp):
-            rec.code = _JUNCTION
-            rec.ion = op.ion
-            rec.junction_degree = op.junction_degree
-        elif isinstance(op, IonSwapOp):
-            rec.code = _ION_SWAP
-            rec.trap = op.trap
-            rec.chain_size = op.chain_size
-        else:
-            raise TypeError(f"unknown operation type: {type(op).__name__}")
-        rec.is_comm = rec.code in _COMM_CODES
-        rec.resources = tuple(
-            intern.setdefault(name, len(intern)) for name in op.resources
-        )
-        records.append(rec)
-
-    resource_names = tuple(sorted(intern, key=intern.get))
-    program._sim_records = (program.operations, records, resource_names)
-    return records, resource_names
+    columns = OpColumns(program.operations)
+    program._sim_columns = (program.operations, columns)
+    return columns
 
 
-def _durations(program: QCCDProgram, records: List[_OpRecord],
+def _durations(program: QCCDProgram, columns: OpColumns,
                device: QCCDDevice) -> List[float]:
     """Duration of every operation under the device's performance models.
 
@@ -186,16 +230,16 @@ def _durations(program: QCCDProgram, records: List[_OpRecord],
     ms_cache: Dict[Tuple[int, int], float] = {}
     junction_cache: Dict[int, float] = {}
 
+    ion_distances = columns.ion_distances
+    chain_lengths = columns.chain_lengths
     durations: List[float] = []
     append = durations.append
-    for rec in records:
-        code = rec.code
+    for index, code in enumerate(columns.codes):
         if code == _GATE_2Q or code == _SWAP_GATE:
-            key = (rec.ion_distance, rec.chain_length)
+            key = (ion_distances[index], chain_lengths[index])
             one_ms = ms_cache.get(key)
             if one_ms is None:
-                one_ms = gate_time(gate, distance=rec.ion_distance,
-                                   chain_length=rec.chain_length)
+                one_ms = gate_time(gate, distance=key[0], chain_length=key[1])
                 ms_cache[key] = one_ms
             append(one_ms if code == _GATE_2Q else SwapGateOp.MS_GATES_PER_SWAP * one_ms)
         elif code == _GATE_1Q:
@@ -207,9 +251,9 @@ def _durations(program: QCCDProgram, records: List[_OpRecord],
         elif code == _MERGE:
             append(merge_time)
         elif code == _MOVE:
-            append(move_segment * rec.length)
+            append(move_segment * columns.lengths[index])
         elif code == _JUNCTION:
-            degree = rec.junction_degree
+            degree = columns.junction_degrees[index]
             value = junction_cache.get(degree)
             if value is None:
                 value = shuttle.junction_time(degree)
@@ -280,10 +324,17 @@ def simulate(program: QCCDProgram, device: QCCDDevice, *,
 
 def _simulate(program: QCCDProgram, device: QCCDDevice, *,
               keep_timeline: bool, with_breakdown: bool) -> SimulationResult:
-    records, resource_names = _op_records(program)
-    durations = _durations(program, records, device)
-    num_ops = len(records)
+    columns = _op_columns(program)
+    resource_names = columns.resource_names
+    durations = _durations(program, columns, device)
+    num_ops = len(columns)
     num_resources = len(resource_names)
+    codes = columns.codes
+    all_deps = columns.deps
+    rids = columns.rids
+    all_is_comm = columns.is_comm
+    traps = columns.traps
+    ions = columns.ions
 
     heating = HeatingModel(device.model.heating)
     fidelity_model = FidelityModel(device.model.fidelity)
@@ -319,53 +370,45 @@ def _simulate(program: QCCDProgram, device: QCCDDevice, *,
     first_seen_codes: List[int] = []
 
     for index in range(num_ops):
-        rec = records[index]
-        code = rec.code
+        code = codes[index]
+        deps = all_deps[index]
+        rid = rids[index]
         duration = durations[index]
-        is_comm = rec.is_comm
+        is_comm = all_is_comm[index]
         if not op_count_by_code[code]:
             first_seen_codes.append(code)
         op_count_by_code[code] += 1
 
         # --- real timeline -------------------------------------------- #
+        # Every op occupies exactly one resource, whose free time is >= 0.
         ready = 0.0
-        for dep in rec.deps:
+        for dep in deps:
             value = finish[dep]
             if value > ready:
                 ready = value
-        avail = 0.0
-        for rid in rec.resources:
-            value = free_at[rid]
-            if value > avail:
-                avail = value
+        avail = free_at[rid]
         start = ready if ready >= avail else avail
         end = start + duration
         finish[index] = end
-        for rid in rec.resources:
-            free_at[rid] = end
-            if is_comm:
-                comm_busy[rid] += duration
-            else:
-                gate_busy[rid] += duration
+        free_at[rid] = end
+        if is_comm:
+            comm_busy[rid] += duration
+        else:
+            gate_busy[rid] += duration
 
         # --- zero-communication timeline (Figure 6b breakdown) -------- #
         if with_breakdown:
             cduration = 0.0 if is_comm else duration
             ready = 0.0
-            for dep in rec.deps:
+            for dep in deps:
                 value = finish_c[dep]
                 if value > ready:
                     ready = value
-            avail = 0.0
-            for rid in rec.resources:
-                value = free_c[rid]
-                if value > avail:
-                    avail = value
+            avail = free_c[rid]
             cstart = ready if ready >= avail else avail
             cend = cstart + cduration
             finish_c[index] = cend
-            for rid in rec.resources:
-                free_c[rid] = cend
+            free_c[rid] = cend
 
         # --- noise ----------------------------------------------------- #
         if code == _GATE_2Q or code == _SWAP_GATE:
@@ -374,14 +417,14 @@ def _simulate(program: QCCDProgram, device: QCCDDevice, *,
             # energy for the gate error but reported separately (Figure 6f
             # tracks shuttling-induced energy only).
             background_energy = background_rate * (end - duration)
-            trap = rec.trap
+            trap = traps[index]
             if code == _GATE_2Q:
                 one_ms = duration
                 repetitions = 1
             else:
                 one_ms = duration / ms_per_swap
                 repetitions = ms_per_swap
-            chain_length = rec.chain_length
+            chain_length = columns.chain_lengths[index]
             instability = instability_cache.get(chain_length)
             if instability is None:
                 instability = fidelity_model.laser_instability(chain_length)
@@ -419,34 +462,34 @@ def _simulate(program: QCCDProgram, device: QCCDDevice, *,
                 log_fid += log(measurement_fid)
             fid_append(measurement_fid)
         elif code == _SPLIT:
-            trap = rec.trap
-            remaining, split_off = heating.split(trap_energy[trap], rec.chain_size, 1)
+            trap = traps[index]
+            remaining, split_off = heating.split(trap_energy[trap], columns.chain_sizes[index], 1)
             noise.bump_energy(trap, remaining)
-            transit_energy[rec.ion] = split_off
+            transit_energy[ions[index]] = split_off
             noise.bump_occupancy(trap, -1)
             fid_append(1.0)
         elif code == _MERGE:
-            trap = rec.trap
-            incoming = transit_energy.pop(rec.ion, 0.0)
+            trap = traps[index]
+            incoming = transit_energy.pop(ions[index], 0.0)
             noise.bump_energy(trap, heating.merge(trap_energy[trap], incoming))
             noise.bump_occupancy(trap, +1)
             fid_append(1.0)
         elif code == _MOVE:
-            current = transit_energy.get(rec.ion, 0.0)
-            transit_energy[rec.ion] = heating.move(current, rec.length)
+            current = transit_energy.get(ions[index], 0.0)
+            transit_energy[ions[index]] = heating.move(current, columns.lengths[index])
             fid_append(1.0)
         elif code == _JUNCTION:
-            current = transit_energy.get(rec.ion, 0.0)
-            transit_energy[rec.ion] = heating.cross_junction(current)
+            current = transit_energy.get(ions[index], 0.0)
+            transit_energy[ions[index]] = heating.cross_junction(current)
             fid_append(1.0)
         else:  # _ION_SWAP
             # One IS hop: split the pair off, rotate, merge back.  Net effect
             # on the chain energy is +3*k1 (two sub-chains gain k1 at the
             # split and the merge adds another k1); derived through the model
             # so any parameter change stays consistent.
-            trap = rec.trap
+            trap = traps[index]
             energy = trap_energy[trap]
-            remaining, pair = heating.split(energy, rec.chain_size, 2)
+            remaining, pair = heating.split(energy, columns.chain_sizes[index], 2)
             noise.bump_energy(trap, heating.merge(remaining, pair))
             fid_append(1.0)
 
@@ -483,7 +526,7 @@ def _simulate(program: QCCDProgram, device: QCCDDevice, *,
         timeline = [
             OperationRecord(
                 op_id=index,
-                kind=_CODE_TO_KIND[records[index].code],
+                kind=_CODE_TO_KIND[codes[index]],
                 start=finish[index] - durations[index],
                 finish=finish[index],
                 fidelity=op_fidelities[index],

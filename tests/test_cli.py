@@ -235,3 +235,63 @@ class TestDseCommands:
                   "--topologies", "L3", "--capacities", "6,8",
                   "--strategy", "greedy", "--shard", "1/2"])
         capsys.readouterr()
+
+
+# --------------------------------------------------------------------------- #
+# Bad sizes and devices: usage errors, never a traceback or a silent default
+# --------------------------------------------------------------------------- #
+#: Rejected by argparse's type check (exit 2 via SystemExit).
+ARGPARSE_REJECTS = [
+    ["run", "--app", "QFT", "--qubits", "0"],
+    ["run", "--app", "QFT", "--qubits", "-4"],
+    ["run", "--app", "QFT", "--capacity", "0"],
+    ["device", "--qubits", "0"],
+    ["check", "--app", "QFT", "--qubits", "0"],
+    ["dse", "run", "--apps", "QFT", "--qubits", "0", "--store", "unused"],
+    ["dse", "run", "--apps", "QFT", "--capacities", "0,8", "--store", "unused"],
+]
+
+#: Well-typed values the application or device model rejects: one
+#: ``error:`` line on stderr and exit code 2.
+MODEL_REJECTS = [
+    (["run", "--app", "QFT", "--qubits", "1"], "QFT needs at least 2 qubits"),
+    (["run", "--app", "Adder", "--qubits", "3"], "adder needs at least 6"),
+    (["run", "--app", "QFT", "--capacity", "1"], "trap_capacity"),
+    (["run", "--app", "QFT", "--topology", "R2"], "ring needs at least 3"),
+    (["run", "--app", "QFT", "--qubits", "200"], "do not fit"),
+    (["device", "--topology", "R2"], "ring needs at least 3"),
+    (["device", "--capacity", "1"], "trap_capacity"),
+    (["check", "--app", "BV", "--qubits", "1"], "BV needs at least 2"),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", ARGPARSE_REJECTS,
+                             ids=[" ".join(a) for a in ARGPARSE_REJECTS])
+    def test_argparse_rejects(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be a positive integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", MODEL_REJECTS,
+                             ids=[" ".join(a) for a, _ in MODEL_REJECTS])
+    def test_model_rejects_are_one_line_errors(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("app", ["Supremacy", "QAOA", "SquareRoot", "QFT",
+                                     "Adder", "BV"])
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_non_positive_size_never_means_default(self, app, size):
+        from repro.apps.suite import build_application
+
+        with pytest.raises(ValueError):
+            build_application(app, num_qubits=size)
