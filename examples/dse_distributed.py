@@ -63,10 +63,10 @@ def quickstart(workdir: Path) -> None:
           f"shards to {dispatcher.workers} local workers...")
 
     def report(progress):
-        shards = progress["shards"]
+        leases = progress["leases"]
         print(f"  {progress['points_done']:3d}/{progress['points_total']} "
-              f"points | shards done {shards['done']}/{dispatcher.shards}, "
-              f"active {shards['active']} | ETA {format_eta(progress['eta_s'])}")
+              f"points | shards done {leases['done']}/{dispatcher.shards}, "
+              f"active {leases['active']} | ETA {format_eta(progress['eta_s'])}")
 
     summary = dispatcher.run(timeout_s=600.0, on_progress=report,
                              progress_interval_s=0.5)
@@ -116,8 +116,9 @@ def smoke(workdir: Path, trace: Path = None) -> int:
         victim_shards = []
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline and not victim_shards:
-            victim_shards = [s.index for s in dispatcher.ledger.states()
-                            if s.owner and s.owner.endswith(suffix)]
+            victim_shards = [name for name in dispatcher.ledger.work_names()
+                             if (dispatcher.ledger.owner_of(name) or "")
+                             .endswith(suffix)]
             time.sleep(0.02)
         if not victim_shards:
             print("[smoke] FAIL: victim worker never claimed a shard")
@@ -141,9 +142,9 @@ def smoke(workdir: Path, trace: Path = None) -> int:
                 proc.kill()
                 proc.wait()
 
-    for index in victim_shards:
-        status = dispatcher.ledger.state(index).status
-        print(f"[smoke] victim shard {index}: {status}")
+    for name in victim_shards:
+        status = dispatcher.ledger.status_of(name)[0]
+        print(f"[smoke] victim {name}: {status}")
         if status != "done":
             print("[smoke] FAIL: victim shard was not reclaimed")
             return 1
@@ -277,9 +278,10 @@ def straggler_smoke(workdir: Path, space: DesignSpace, golden: bytes) -> int:
         victim_owner = None
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline and victim_owner is None:
-            for state in dispatcher.ledger.states():
-                if state.owner and state.owner.endswith(suffix):
-                    victim_owner = state.owner
+            for name in dispatcher.ledger.work_names():
+                owner = dispatcher.ledger.owner_of(name)
+                if owner and owner.endswith(suffix):
+                    victim_owner = owner
                     break
             time.sleep(0.02)
         if victim_owner is None:

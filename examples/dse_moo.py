@@ -48,8 +48,8 @@ from pathlib import Path
 
 from repro.cli import main as repro_main
 from repro.dse import (
-    AdaptiveDispatcher,
     DesignSpace,
+    Dispatcher,
     DSERunner,
     ExperimentStore,
     make_strategy,
@@ -166,18 +166,17 @@ def smoke(workdir: Path) -> int:
     # --- 3. Distributed propose/evaluate with one worker SIGKILLed. ------- #
     import threading
 
-    from repro.dse import run_proposer, spawn_worker_process
+    from repro.dse import run_proposer
 
     store_dir = workdir / "dispatched"
     strategy = dict(name="ehvi", objectives=list(OBJECTIVES), parts=3, **EHVI)
     # Short TTL + per-heartbeat throttle widen the kill window: the victim
     # dies while its proposal part is leased but not yet done, so a
     # survivor must take the lease over through expiry.
-    dispatcher = AdaptiveDispatcher(space, store_dir, strategy=strategy,
-                                    workers=3, ttl_s=1.5, throttle_s=0.3,
-                                    poll_s=0.05)
+    dispatcher = Dispatcher(space, store_dir, strategy=strategy, workers=3,
+                            ttl_s=1.5, throttle_s=0.3, poll_s=0.05)
     dispatcher.prepare()
-    procs = [spawn_worker_process(store_dir) for _ in range(3)]
+    procs = [dispatcher.spawn_worker() for _ in range(3)]
     victim = procs[0]
     killed_holding = []
 
@@ -186,7 +185,7 @@ def smoke(workdir: Path) -> int:
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             for name in dispatcher.ledger.work_names():
-                owner = dispatcher.ledger.leases.owner_of(name)
+                owner = dispatcher.ledger.owner_of(name)
                 if owner and owner.endswith(suffix):
                     killed_holding.append(name)
             if killed_holding:

@@ -990,8 +990,8 @@ def _print_by_strategy(store) -> None:
 def _print_eta(args, store, space, pending) -> int:
     """The ``dse status --eta`` tail: pending x mean wall_s / active workers."""
 
-    from repro.dse import DesignSpace, ShardLedger, estimate_eta_s
-    from repro.dse.dispatch import DEFAULT_TTL_S, format_eta, read_manifest
+    from repro.dse.dispatch import (estimate_eta_s, fleet_progress, format_eta,
+                                    open_ledger, read_manifest)
 
     # --workers without a count (telemetry display, const 0) does not pin
     # the ETA's active-worker count; only an explicit number does.
@@ -999,61 +999,31 @@ def _print_eta(args, store, space, pending) -> int:
     manifest = None
     if space is None or active is None:
         # A dispatched store describes itself: the manifest names the space
-        # and the work partition, the ledgers know how many leases are live.
+        # and the work partition, the ledger knows how many leases are live.
         try:
             manifest = read_manifest(store.directory)
         except ValueError:
             manifest = None
-        if manifest is not None:
-            if space is None:
-                space = DesignSpace.from_dict(manifest["space"])
-                pending = None
-            if active is None and manifest.get("mode", "shards") == "shards":
-                ledger = ShardLedger.for_store(
-                    store.directory, manifest["shards"],
-                    ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
-                active = ledger.status_counts()["active"]
-            elif active is None:
-                from repro.dse import ProposalLedger
-
-                ledger = ProposalLedger(
-                    store.directory,
-                    ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
-                active = ledger.active_leases()
-    if space is None:
+    if space is None and manifest is None:
         print("\nETA: unknown -- provide --space FILE (or dispatch through "
               "`repro dse dispatch`, which records the space in the store's "
               "manifest) so pending points can be counted", file=sys.stderr)
         return 1
-    if pending is None:
-        # Cheap lower bound: every store row is assumed to belong to the
-        # space (dispatch stores are dedicated to one study).  An adaptive
-        # run stops at its evaluation budget, not the grid size -- and its
-        # ledger's complete marker means nothing is pending at all.
-        total = space.size
-        if manifest is not None and manifest.get("mode") == "adaptive":
-            from repro.dse import ProposalLedger
-            from repro.dse.adaptive.propose import default_max_evals
-
-            spec = manifest.get("strategy", {})
-            if ProposalLedger(store.directory).read_complete() is not None:
-                total = len(store)
-            elif spec.get("max_evals") is not None:
-                total = min(total, int(spec["max_evals"]))
-            elif spec.get("name") == "bayes":
-                total = min(total, default_max_evals(
-                    space.size, int(spec.get("batch_size", 4))))
-            else:
+    if manifest is not None:
+        progress = fleet_progress(store, manifest,
+                                  open_ledger(store.directory, manifest))
+        active = active or progress["leases"]["active"]
+        if space is None:
+            pending = progress["points_pending"]
+            if pending is None:
                 # A multi-fidelity ladder has no fixed budget: its rung
                 # sizes depend on results (and proxy rows can outnumber the
-                # grid), so pretending pending == grid - stored would
-                # report "0 pending" mid-run.  Honest unknown instead.
+                # grid), so any pending count would be made up mid-run.
                 print(f"\nETA: unknown -- adaptive strategy "
-                      f"{spec.get('name')!r} has no fixed evaluation "
-                      f"budget (run `dse status` again once the proposals "
-                      f"ledger records completion)")
+                      f"{manifest['strategy'].get('name')!r} has no fixed "
+                      f"evaluation budget (run `dse status` again once the "
+                      f"proposals ledger records completion)")
                 return 0
-        pending = max(0, total - len(store))
     active = active if active else 1
     eta_s = estimate_eta_s(pending, store.wall_timings(), active)
     print(f"ETA: {pending} pending points / {active} active worker(s) "
@@ -1073,19 +1043,24 @@ def _cmd_dse_dispatch(args) -> int:
         raise SystemExit(f"error: --objectives only applies to the "
                          f"multi-objective strategies ('ehvi', 'parego'); "
                          f"use --metric with {args.strategy!r}")
-    if args.strategy != "grid":
-        return _dse_dispatch_adaptive(args, space)
+    strategy = None if args.strategy == "grid" else _strategy_spec(args)
     try:
         dispatcher = Dispatcher(
-            space, args.store, workers=args.workers, shards=args.shards,
+            space, args.store, strategy=strategy, workers=args.workers,
+            shards=args.shards,
             ttl_s=args.ttl_s if args.ttl_s is not None else DEFAULT_TTL_S,
             jobs=args.jobs,
             throttle_s=args.throttle_s if args.throttle_s is not None else 0.0)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
-    print(f"Design space: {space.size} points -> {dispatcher.shards} leased "
-          f"shards, {args.workers} worker(s) x {args.jobs} job(s)")
+    if strategy is None:
+        print(f"Design space: {space.size} points -> {dispatcher.shards} "
+              f"leased shards, {args.workers} worker(s) x {args.jobs} job(s)")
+    else:
+        print(f"Design space: {space.size} points, adaptive strategy "
+              f"{args.strategy} (seed {args.seed}) -> proposal batches x "
+              f"{args.workers} worker(s)")
     print(f"Store       : {dispatcher.store_dir}")
     if args.print_only:
         try:
@@ -1093,8 +1068,8 @@ def _cmd_dse_dispatch(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
         print(f"Manifest    : {manifest}")
-        print("\nLaunch one worker per machine (each must mount the store "
-              "directory):")
+        print("\nLaunch these commands, one per machine (each must mount the "
+              "store directory; an adaptive run needs the proposer once):")
         for line in dispatcher.command_lines():
             print(f"  {line}")
         print("\nWatch progress with "
@@ -1102,9 +1077,12 @@ def _cmd_dse_dispatch(args) -> int:
         return 0
 
     def report(progress):
-        print(f"  {progress['points_done']}/{progress['points_total']} points, "
-              f"shards {progress['shards']['done']}/{dispatcher.shards} done "
-              f"({progress['shards']['active']} active), "
+        leases = progress["leases"]
+        total = progress["points_total"]
+        print(f"  {progress['points_done']}/"
+              f"{total if total is not None else '?'} points, leases "
+              f"{leases['done']}/{sum(leases.values())} done "
+              f"({leases['active']} active), "
               f"ETA {format_eta(progress['eta_s'])}")
 
     try:
@@ -1112,10 +1090,14 @@ def _cmd_dse_dispatch(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     status = "complete" if summary["complete"] else "INCOMPLETE"
-    print(f"\nDispatch {status}: {summary['points']} points in "
+    evaluations = (f" ({summary['evaluations']} evaluations over "
+                   f"{summary['batches']} batches)"
+                   if "evaluations" in summary else "")
+    print(f"\nDispatch {status}: {summary['points']} points{evaluations} in "
           f"{summary['elapsed_s']:.1f} s "
           f"(respawned {summary['respawned']} worker(s))")
     _print_trace_merge(summary)
+    _print_proposer_result(summary, strategy, args.metric)
     if summary["complete"]:
         print(f"Export with `python -m repro dse export --store "
               f"{dispatcher.store_dir} --output study.json`")
@@ -1135,12 +1117,10 @@ def _print_trace_merge(summary) -> None:
           f"process(es){skip_note}")
 
 
-def _dse_dispatch_adaptive(args, space) -> int:
-    """``dse dispatch --strategy bayes|adaptive-halving``: propose/evaluate."""
+def _strategy_spec(args) -> dict:
+    """The manifest strategy spec of ``dse dispatch --strategy <adaptive>``."""
 
-    from repro.dse import AdaptiveDispatcher
-    from repro.dse.dispatch import DEFAULT_TTL_S
-
+    spec = {"name": args.strategy, "seed": args.seed}
     if args.strategy in ("ehvi", "parego"):
         from repro.dse import make_strategy
 
@@ -1157,66 +1137,26 @@ def _dse_dispatch_adaptive(args, space) -> int:
                                       objectives=args.objectives)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
-        strategy = {"name": args.strategy, "seed": args.seed,
-                    "objectives": list(validated.objectives),
-                    "batch_size": args.batch_size}
-        if args.max_evals is not None:
-            strategy["max_evals"] = args.max_evals
-        if args.surrogate is not None:
-            strategy["surrogate"] = args.surrogate
+        spec.update(objectives=list(validated.objectives),
+                    batch_size=args.batch_size)
     elif args.strategy == "bayes":
-        strategy = {"name": args.strategy, "seed": args.seed,
-                    "metric": args.metric, "batch_size": args.batch_size}
-        if args.max_evals is not None:
-            strategy["max_evals"] = args.max_evals
-        if args.surrogate is not None:
-            strategy["surrogate"] = args.surrogate
+        spec.update(metric=args.metric, batch_size=args.batch_size)
     else:
-        strategy = {"name": args.strategy, "seed": args.seed,
-                    "metric": args.metric,
-                    "proxy_qubits": args.proxy_qubits}
-        if args.surrogate is not None:
-            strategy["surrogate"] = args.surrogate
-    try:
-        dispatcher = AdaptiveDispatcher(
-            space, args.store, strategy=strategy, workers=args.workers,
-            ttl_s=args.ttl_s if args.ttl_s is not None else DEFAULT_TTL_S,
-            jobs=args.jobs,
-            throttle_s=args.throttle_s if args.throttle_s is not None else 0.0)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        spec.update(metric=args.metric, proxy_qubits=args.proxy_qubits)
+    if args.max_evals is not None and "batch_size" in spec:
+        spec["max_evals"] = args.max_evals
+    if args.surrogate is not None:
+        spec["surrogate"] = args.surrogate
+    return spec
 
-    print(f"Design space: {space.size} points, adaptive strategy "
-          f"{args.strategy} (seed {args.seed}) -> proposal batches x "
-          f"{args.workers} worker(s)")
-    print(f"Store       : {dispatcher.store_dir}")
-    if args.print_only:
-        try:
-            manifest = dispatcher.prepare()
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-        print(f"Manifest    : {manifest}")
-        print("\nRun the proposer on one machine and one worker per machine "
-              "(each must mount the store directory):")
-        for line in dispatcher.command_lines():
-            print(f"  {line}")
-        return 0
 
-    try:
-        summary = dispatcher.run(timeout_s=args.timeout_s)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    status = "complete" if summary["complete"] else "INCOMPLETE"
-    print(f"\nAdaptive dispatch {status}: {summary.get('evaluations', 0)} "
-          f"evaluations over {summary.get('batches', 0)} batches in "
-          f"{summary['elapsed_s']:.1f} s "
-          f"(respawned {summary['respawned']} worker(s))")
-    _print_trace_merge(summary)
+def _print_proposer_result(summary, strategy, metric) -> None:
+    """The best point (and frontier) an adaptive dispatch's proposer found."""
+
     best = summary.get("best")
     if best is not None:
         config = best["point"]["config"]
-        metric = (strategy["objectives"][0] if "objectives" in strategy
-                  else args.metric)
+        metric = strategy.get("objectives", [metric])[0]
         print(f"Best point  : {best['point']['app']} on "
               f"{config['topology']}-cap{config['trap_capacity']}-"
               f"{config['gate']}-{config['reorder']} "
@@ -1231,7 +1171,6 @@ def _dse_dispatch_adaptive(args, space) -> int:
             print(f"  {entry['point']['app']} "
                   f"{config['topology']}-cap{config['trap_capacity']}-"
                   f"{config['gate']}-{config['reorder']}  [{values}]")
-    return 0 if summary["complete"] else 1
 
 
 def _cmd_dse_propose(args) -> int:
@@ -1251,10 +1190,10 @@ def _cmd_dse_propose(args) -> int:
 
 
 def _cmd_dse_worker(args) -> int:
-    from repro.toolflow.parallel import shard_worker
+    from repro.dse import run_worker
 
     try:
-        summary = shard_worker(args.store, owner=args.owner, jobs=args.jobs)
+        summary = run_worker(args.store, owner=args.owner, jobs=args.jobs)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     print(f"worker {summary['owner']}: completed "

@@ -17,11 +17,13 @@ compile/simulate core:
 * :mod:`~repro.dse.pareto` -- best-point selection and fidelity-vs-runtime
   Pareto frontiers.
 * :mod:`~repro.dse.dispatch` -- filesystem-coordinated distributed
-  execution: a :class:`ShardLedger` of lease files (atomic claims,
-  heartbeat renewal, expiry-based reclaim of dead workers) and a
-  :class:`Dispatcher` that partitions a space into leased shards, runs
-  local worker processes (``repro dse dispatch``) or prints remote launch
-  commands, and watches progress with a ``wall_s``-driven ETA.
+  execution, grid or adaptive through one path: name-keyed lease ledgers
+  (:class:`LeaseDir`: atomic claims, heartbeat renewal, expiry-based
+  reclaim of dead workers; :class:`ShardLedger` for grid shards), the one
+  worker loop :func:`run_worker` (``repro dse worker``), and the one
+  :class:`Dispatcher` (``repro dse dispatch``) that runs local worker
+  processes or prints remote launch commands and watches progress with a
+  ``wall_s``-driven ETA.
 * :mod:`~repro.dse.adaptive` -- model-based search: incremental surrogate
   regressors, expected-improvement/UCB batch proposers, a surrogate-ranked
   multi-fidelity ladder, and the distributed propose/evaluate protocol
@@ -38,11 +40,9 @@ command-line entry point for custom studies.
 """
 
 from repro.dse.adaptive import (
-    AdaptiveDispatcher,
     AdaptiveHalvingProposer,
     BayesProposer,
     ProposalLedger,
-    run_adaptive_worker,
     run_proposer,
 )
 from repro.dse.dispatch import (
@@ -50,7 +50,6 @@ from repro.dse.dispatch import (
     Dispatcher,
     LeaseDir,
     LeaseLost,
-    LeaseState,
     ShardLedger,
     estimate_eta_s,
     read_manifest,
@@ -114,7 +113,6 @@ __all__ = [
     "MOO_STRATEGY_NAMES",
     "OBJECTIVES",
     "STRATEGY_NAMES",
-    "AdaptiveDispatcher",
     "AdaptiveHalving",
     "AdaptiveHalvingProposer",
     "BayesProposer",
@@ -132,7 +130,6 @@ __all__ = [
     "ExperimentStore",
     "LeaseDir",
     "LeaseLost",
-    "LeaseState",
     "ParEGOProposer",
     "ParEGOSearch",
     "ParetoArchive",
@@ -162,7 +159,6 @@ __all__ = [
     "record_to_row",
     "records_hypervolume",
     "row_to_record",
-    "run_adaptive_worker",
     "run_proposer",
     "run_worker",
     "spawn_worker_process",

@@ -17,18 +17,19 @@ through the ordinary compile/simulate pipeline and experiment store.
   :class:`AdaptiveHalvingProposer` multi-fidelity scheduler that promotes
   points through the scaled-proxy ladder on surrogate rank instead of a
   fixed eta.
-* :mod:`~repro.dse.adaptive.protocol` -- the distributed propose/evaluate
-  split: the proposer writes signed proposal batches into a
-  ``proposals/`` ledger inside the store directory (same atomic
-  create/rename lease discipline as the shard ledger), workers lease
-  batches and append results to the store, and the proposer ingests them
-  incrementally to emit the next batch.  A killed proposer or worker is
-  recoverable from the ledger alone.
+* :mod:`~repro.dse.adaptive.protocol` -- the proposal side of an
+  adaptive dispatch: the proposer writes signed proposal batches into a
+  ``proposals/`` ledger inside the store directory and ingests their
+  results incrementally to emit the next batch; :class:`ProposalLedger`
+  leases the batch parts (the lease discipline of the grid's shard ledger)
+  to the one worker loop, :func:`repro.dse.dispatch.run_worker`.  A killed
+  proposer or worker is recoverable from the ledger alone.
 
 The ``bayes`` and ``adaptive-halving`` strategies of
 :mod:`repro.dse.strategies` drive these proposers single-process through
 :class:`~repro.dse.runner.DSERunner`; ``repro dse dispatch --strategy
-bayes`` and ``repro dse propose`` drive them across a worker fleet.
+bayes`` (the one :class:`~repro.dse.dispatch.Dispatcher`, given a
+strategy) and ``repro dse propose`` drive them across a worker fleet.
 Either way the proposal sequence depends only on (space, strategy, seed)
 and the deterministic evaluation results, so serial, ``--jobs N`` and
 dispatched runs -- even with workers killed mid-batch -- explore the same
@@ -50,15 +51,9 @@ from repro.dse.adaptive.propose import (
     make_proposer,
     upper_confidence_bound,
 )
-from repro.dse.adaptive.protocol import (
-    AdaptiveDispatcher,
-    ProposalLedger,
-    run_adaptive_worker,
-    run_proposer,
-)
+from repro.dse.adaptive.protocol import ProposalLedger, run_proposer
 
 __all__ = [
-    "AdaptiveDispatcher",
     "AdaptiveHalvingProposer",
     "BayesProposer",
     "PointEncoder",
@@ -70,7 +65,6 @@ __all__ = [
     "expected_improvement",
     "make_proposer",
     "make_surrogate",
-    "run_adaptive_worker",
     "run_proposer",
     "upper_confidence_bound",
 ]

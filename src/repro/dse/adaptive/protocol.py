@@ -1,13 +1,11 @@
-"""The distributed propose/evaluate protocol for adaptive search.
+"""The proposal side of an adaptive dispatch: signed proposals and the proposer.
 
-PR 3's shard dispatcher cannot run adaptive strategies: static shards fix
-every point before any result exists, while an adaptive search must *see*
-results to choose its next points.  This module splits the two roles over
-the shared store directory, with no coordination machinery beyond what the
-shard ledger already established:
+Static grid shards fix every point before any result exists, while an
+adaptive search must *see* results to choose its next points.  An adaptive
+dispatch therefore splits into two roles over the shared store directory:
 
-* The **proposer** (one process, ``repro dse propose`` or the strategy
-  side of ``repro dse dispatch --strategy bayes``) writes numbered,
+* The **proposer** (one process: ``repro dse propose``, or the wait step of
+  :class:`~repro.dse.dispatch.Dispatcher` with a strategy) writes numbered,
   *signed* proposal files into ``<store>/proposals/`` -- atomic temp-write
   + rename, a SHA-256 content signature over the canonical payload so a
   torn or tampered proposal is detected rather than half-read.  Each
@@ -17,13 +15,12 @@ shard ledger already established:
   rows) per tick) until every point of the outstanding batch has a row,
   ingests the objective values, and emits the next batch.  A signed
   ``complete.json`` marker ends the run and records the best point.
-* **Workers** (any number, ``repro dse worker`` -- the same entry point as
-  shard runs; the manifest's ``mode: "adaptive"`` routes them here) lease
-  proposal parts through a :class:`~repro.dse.dispatch.LeaseDir` exactly
-  like shards: atomic claim, heartbeat renewal after every persisted task
-  group, expiry-based takeover of a SIGKILLed worker's part, done markers.
-  Results are appended to the store as always (per-owner writer files,
-  fingerprint dedup).
+* **Workers** run the one worker loop, :func:`repro.dse.dispatch.run_worker`.
+  :class:`ProposalLedger` is the :class:`~repro.dse.dispatch.LeaseDir` it
+  leases proposal parts from (atomic claim, heartbeat renewal, expiry-based
+  takeover of a SIGKILLed worker's part, done markers), and its per-unit
+  step evaluates one part's points with the part's provenance stamped on
+  the rows.
 
 Crash recovery needs the ledger alone: a killed worker's part expires and
 is re-leased; a killed proposer restarts, replays its own proposal files
@@ -41,29 +38,24 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.dse.adaptive.propose import ProposalBatch, make_proposer
 from repro.dse.dispatch import (
     DEFAULT_TTL_S,
     LeaseClock,
     LeaseDir,
-    LeaseLost,
-    WorkerTelemetry,
     _filename_safe,
-    _live_phase,
     default_owner,
+    open_ledger,
     read_manifest,
-    spawn_worker_process,
-    write_manifest,
 )
 from repro.dse.pareto import objective_value
 from repro.dse.runner import DSERunner
 from repro.dse.space import DesignSpace, point_from_spec
 from repro.dse.store import ExperimentStore, row_to_record
-from repro.obs.distributed import TraceContext, TraceShardWriter, adopt_shards
-from repro.obs.trace import current_tracer
 from repro.obs.trace import span as _span
 
 #: Subdirectory of the store directory holding the proposal ledger.
@@ -85,24 +77,22 @@ def _signature(payload: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class ProposalLedger:
+class ProposalLedger(LeaseDir):
     """The ``proposals/`` directory: signed proposal files plus lease files.
 
     Part ``p`` of logical batch ``n`` lives in
     ``batch-<n:06d>-part<p:02d>.json``; its lease and done marker use the
-    same name through a :class:`~repro.dse.dispatch.LeaseDir`, so the
-    claim/heartbeat/takeover discipline is byte-for-byte the shard
-    ledger's.  All writes are atomic (private temp file + ``os.replace``)
+    same name, so the claim/heartbeat/takeover discipline is the inherited
+    :class:`~repro.dse.dispatch.LeaseDir` one, shared with the grid's shard
+    ledger.  All writes are atomic (private temp file + ``os.replace``)
     and all payloads carry a content signature checked on read.
     """
 
     def __init__(self, store_dir, *, ttl_s: float = DEFAULT_TTL_S,
                  clock: Optional[LeaseClock] = None) -> None:
         self.store_dir = Path(store_dir)
-        self.directory = self.store_dir / PROPOSAL_DIR
-        self.leases = LeaseDir(self.directory, ttl_s=ttl_s, clock=clock)
-        self.ttl_s = self.leases.ttl_s
-        self.clock = self.leases.clock
+        super().__init__(self.store_dir / PROPOSAL_DIR, ttl_s=ttl_s,
+                         clock=clock)
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -269,30 +259,39 @@ class ProposalLedger:
         return merged
 
     # ------------------------------------------------------------------ #
-    def claim_next(self, owner: str) -> Optional[str]:
-        """Claim the first available proposal part for ``owner`` (or None)."""
+    @contextmanager
+    def evaluator(self, store_dir, space: DesignSpace, owner: str,
+                  **runner_options) -> Iterator[Callable]:
+        """The per-unit step of the worker loop: evaluate one proposal part.
 
-        for name in self.work_names():
-            if self.leases.is_done(name):
-                continue
-            if self.leases.claim(name, owner):
-                return name
-        return None
+        One store view (writer ``adaptive-<owner>``) persists across the
+        worker's parts and is refreshed with the incremental ``reload``
+        before each, so rows flushed by other workers (including a dead
+        worker's partial part) replay instead of recomputing.  Rows carry
+        the part's provenance exactly like the in-process strategy driver
+        stamps it, so serial and dispatched runs persist identical rows.
+        """
 
-    def renew(self, name: str, owner: str) -> bool:
-        return self.leases.renew(name, owner)
+        with ExperimentStore(
+                store_dir, writer=f"adaptive-{_filename_safe(owner)}") as store:
 
-    def release(self, name: str, owner: str, *, done: bool = True) -> None:
-        self.leases.release(name, owner, done=done)
+            def evaluate(name: str, heartbeat: Callable[[], None]) -> Dict:
+                payload = self.read_work(name)
+                points = [point_from_spec(spec) for spec in payload["points"]]
+                store.reload()
+                runner = DSERunner(space, store=store, heartbeat=heartbeat,
+                                   **runner_options)
+                runner.provenance = {
+                    key: payload.get(key) for key in
+                    ("strategy", "seed", "rung", "proxy_qubits")}
+                if payload.get("objectives") is not None:
+                    runner.provenance["objectives"] = payload["objectives"]
+                with _span("dse.part", part=name, owner=owner,
+                           points=len(points)):
+                    runner.evaluate(points)
+                return runner.stats
 
-    def is_done(self, name: str) -> bool:
-        return self.leases.is_done(name)
-
-    def active_leases(self) -> int:
-        """Parts currently under a fresh lease (for progress reporting)."""
-
-        return sum(1 for name in self.work_names()
-                   if self.leases.status_of(name)[0] == "active")
+            yield evaluate
 
     # ------------------------------------------------------------------ #
     @property
@@ -324,9 +323,7 @@ class ProposalLedger:
     def all_done(self) -> bool:
         """True when the run is complete and every proposal part is done."""
 
-        if self.read_complete() is None:
-            return False
-        return all(self.leases.is_done(name) for name in self.work_names())
+        return self.read_complete() is not None and super().all_done()
 
 
 # --------------------------------------------------------------------------- #
@@ -338,11 +335,12 @@ def run_proposer(store_dir, *, manifest: Optional[Dict] = None,
     """Drive an adaptive run's proposal loop to completion.
 
     Requires an adaptive-mode dispatch manifest in ``store_dir`` (written
-    by ``repro dse dispatch --strategy bayes ...`` or
-    :meth:`AdaptiveDispatcher.prepare`).  Existing proposal files are
-    replayed first -- each logical batch is regenerated from the
-    deterministic proposer and verified against the stored files, so a
-    restarted proposer continues exactly where its predecessor was killed.
+    by ``repro dse dispatch --strategy bayes ...`` or by
+    :meth:`~repro.dse.dispatch.Dispatcher.prepare` given a strategy).
+    Existing proposal files are replayed first -- each logical batch is
+    regenerated from the deterministic proposer and verified against the
+    stored files, so a restarted proposer continues exactly where its
+    predecessor was killed.
     ``tick`` (if given) is invoked on every wait poll; raising from it
     aborts the loop (the dispatcher uses this for timeouts and worker
     respawn).
@@ -353,17 +351,15 @@ def run_proposer(store_dir, *, manifest: Optional[Dict] = None,
 
     store_dir = Path(store_dir)
     manifest = manifest if manifest is not None else read_manifest(store_dir)
-    if manifest.get("mode", "shards") != "adaptive":
+    ledger = open_ledger(store_dir, manifest)
+    if not isinstance(ledger, ProposalLedger):
         raise ValueError(
-            f"store {store_dir} is not an adaptive dispatch (manifest mode "
-            f"is {manifest.get('mode', 'shards')!r}); prepare it with "
-            f"`repro dse dispatch --strategy bayes ...` first")
+            f"store {store_dir} is not an adaptive dispatch; prepare it "
+            f"with `repro dse dispatch --strategy bayes ...` first")
     space = DesignSpace.from_dict(manifest["space"])
     strategy_spec = dict(manifest["strategy"])
     parts = int(strategy_spec.pop("parts", 1))
     proposer = make_proposer(space, strategy_spec)
-    ledger = ProposalLedger(store_dir,
-                            ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
     store = ExperimentStore(store_dir)
     # Fingerprint-only runner: builds and memoises circuits to key the
     # store, but never evaluates anything (the workers do).
@@ -452,293 +448,3 @@ def _await_batch(store: ExperimentStore, index: DSERunner,
 
         return [objective_vector(record, objectives) for record in records]
     return [objective_value(record, proposer.metric) for record in records]
-
-
-# --------------------------------------------------------------------------- #
-# Worker side
-# --------------------------------------------------------------------------- #
-def run_adaptive_worker(store_dir, *, manifest: Optional[Dict] = None,
-                        owner: Optional[str] = None,
-                        jobs: Optional[int] = None, circuits=None,
-                        idle_wait_s: Optional[float] = None) -> Dict[str, object]:
-    """Lease and evaluate proposal parts until the proposer declares done.
-
-    The adaptive counterpart of the shard worker loop (and what
-    :func:`repro.dse.dispatch.run_worker` delegates to for adaptive
-    manifests): claim the first unleased, not-done proposal part; evaluate
-    its points through a :class:`~repro.dse.runner.DSERunner` with
-    heartbeat renewal after every persisted task group (a reclaimed lease
-    aborts the part via :class:`~repro.dse.dispatch.LeaseLost`); mark it
-    done; repeat.  When nothing is claimable the worker waits -- for the
-    proposer to emit the next batch, for a dead worker's lease to expire,
-    or for the complete marker, which (once every part is done) ends the
-    loop.
-
-    One store view and one compiled-program cache persist across parts;
-    the store is refreshed with the incremental ``reload`` before each
-    part, so rows flushed by other workers (including a dead worker's
-    partial batch) replay instead of recomputing.
-    """
-
-    from repro.toolflow.parallel import ProgramCache
-
-    store_dir = Path(store_dir)
-    manifest = manifest if manifest is not None else read_manifest(store_dir)
-    space = DesignSpace.from_dict(manifest["space"])
-    ledger = ProposalLedger(store_dir,
-                            ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
-    owner = owner or default_owner()
-    jobs = int(manifest.get("jobs", 1)) if jobs is None else int(jobs)
-    throttle_s = float(manifest.get("throttle_s", 0.0))
-    if idle_wait_s is None:
-        idle_wait_s = max(0.05, min(1.0, ledger.ttl_s / 4))
-
-    telemetry = WorkerTelemetry(store_dir, owner, clock=ledger.clock)
-    # Join the dispatcher's trace when one was stamped into our environment
-    # (the same propagation the shards-mode worker does).
-    trace_ctx = TraceContext.from_env()
-    shard_writer = None
-    if trace_ctx is not None:
-        trace_ctx.arm()
-        shard_writer = TraceShardWriter(store_dir, owner)
-    telemetry.emit("worker_start", mode="adaptive", jobs=jobs,
-                   pid=os.getpid())
-    cache = ProgramCache()
-    completed: List[str] = []
-    lost: List[str] = []
-    seen_counters: Dict[str, int] = {}
-
-    def counters_delta() -> Dict[str, int]:
-        # Same per-done metrics movement the shards-mode worker ships, so
-        # the timeline's cache-rate series works for adaptive fleets too.
-        current = cache.metrics.counters()
-        moved = {name: value - seen_counters.get(name, 0)
-                 for name, value in current.items()
-                 if value != seen_counters.get(name, 0)}
-        seen_counters.clear()
-        seen_counters.update(current)
-        return moved
-
-    with ExperimentStore(store_dir,
-                         writer=f"adaptive-{_filename_safe(owner)}") as store:
-        while True:
-            claimed = ledger.claim_next(owner)
-            if claimed is None:
-                if ledger.all_done():
-                    break
-                time.sleep(idle_wait_s)
-                continue
-            telemetry.emit("claim", work=claimed, **_live_phase())
-            part_started = time.perf_counter()
-
-            payload = ledger.read_work(claimed)
-            points = [point_from_spec(spec) for spec in payload["points"]]
-
-            def heartbeat(name: str = claimed) -> None:
-                if not ledger.renew(name, owner):
-                    raise LeaseLost(f"lease on proposal part {name} was "
-                                    f"reclaimed from {owner}")
-                telemetry.emit("renew", work=name, **_live_phase())
-                if throttle_s:
-                    time.sleep(throttle_s)
-
-            store.reload()  # replay rows other workers flushed meanwhile
-            runner = DSERunner(space, store=store, jobs=jobs, cache=cache,
-                               circuits=circuits, heartbeat=heartbeat)
-            runner.provenance = {
-                "strategy": payload.get("strategy"),
-                "seed": payload.get("seed"),
-                "rung": payload.get("rung"),
-                "proxy_qubits": payload.get("proxy_qubits"),
-            }
-            if payload.get("objectives") is not None:
-                # Multi-objective batches: mirror the serial strategy
-                # driver's stamp so raw rows match serial runs exactly.
-                runner.provenance["objectives"] = payload["objectives"]
-            try:
-                with _span("dse.part", part=claimed, owner=owner,
-                           points=len(points)):
-                    runner.evaluate(points)
-            except LeaseLost:
-                lost.append(claimed)
-                telemetry.emit("lease_lost", work=claimed)
-                if shard_writer is not None:
-                    shard_writer.flush(current_tracer())
-                continue
-            ledger.release(claimed, owner, done=True)
-            completed.append(claimed)
-            telemetry.emit("done", work=claimed,
-                           points=runner.stats.get("evaluated", 0),
-                           replayed=runner.stats.get("reused", 0),
-                           wall_s=round(time.perf_counter() - part_started, 6),
-                           counters=counters_delta())
-            if shard_writer is not None:
-                # Per-part flush: the shard file is always a complete
-                # atomic snapshot, so a SIGKILL costs only the spans since
-                # the last finished part.
-                shard_writer.flush(current_tracer())
-    telemetry.emit("worker_exit", completed=len(completed), lost=len(lost),
-                   counters=cache.metrics.counters())
-    if shard_writer is not None:
-        shard_writer.flush(current_tracer())
-    return {"owner": owner, "completed": completed, "lost": lost}
-
-
-# --------------------------------------------------------------------------- #
-# Dispatcher: proposer + local worker fleet
-# --------------------------------------------------------------------------- #
-class AdaptiveDispatcher:
-    """Drive a distributed adaptive run: one proposer, N leased workers.
-
-    The adaptive sibling of :class:`~repro.dse.dispatch.Dispatcher`: writes
-    an adaptive-mode manifest (each proposal batch split into ``workers``
-    leaseable parts, so the whole fleet shares a batch), spawns N local
-    ``repro dse worker`` processes (which the manifest routes into the
-    proposal-part loop), and runs the proposal loop *in this process*.
-    Workers that exited abnormally are respawned within a budget; a worker
-    SIGKILLed mid-part loses only its lease, which a survivor reclaims
-    after one TTL.  For remote fleets use :meth:`prepare` +
-    ``repro dse worker --store DIR`` per machine and ``repro dse propose
-    --store DIR`` wherever the proposer should live (see
-    :meth:`command_lines`).
-    """
-
-    def __init__(self, space: DesignSpace, store_dir, *,
-                 strategy: Dict[str, object], workers: int = 2,
-                 ttl_s: float = DEFAULT_TTL_S, jobs: int = 1,
-                 throttle_s: float = 0.0, poll_s: float = 0.2,
-                 respawn: bool = True, max_respawns: Optional[int] = None) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        self.space = space
-        self.store_dir = Path(store_dir)
-        self.strategy = dict(strategy)
-        self.strategy.setdefault("parts", int(workers))
-        if self.strategy.get("max_evals") is None:
-            # Record the resolved budget in the manifest so progress
-            # tooling (``dse status --eta``) can read it without
-            # constructing a proposer.  Identical to the proposer's own
-            # default, so determinism is unaffected.
-            name = self.strategy.get("name")
-            batch_size = self.strategy.get("batch_size", 4)
-            if name == "bayes":
-                from repro.dse.adaptive.propose import default_max_evals
-
-                self.strategy["max_evals"] = default_max_evals(
-                    space.size, batch_size)
-            elif name in ("ehvi", "parego"):
-                from repro.dse.moo.propose import default_moo_max_evals
-
-                self.strategy["max_evals"] = default_moo_max_evals(
-                    space.size, batch_size)
-        self.workers = int(workers)
-        self.ttl_s = float(ttl_s)
-        self.jobs = int(jobs)
-        self.throttle_s = float(throttle_s)
-        self.poll_s = float(poll_s)
-        self.respawn = respawn
-        self.max_respawns = (self.workers if max_respawns is None
-                             else int(max_respawns))
-        self.respawned = 0
-        self.ledger = ProposalLedger(self.store_dir, ttl_s=self.ttl_s)
-        self._procs: List = []
-
-    def prepare(self) -> Path:
-        """Write the adaptive dispatch manifest; workers can join after this."""
-
-        return write_manifest(self.store_dir, self.space, mode="adaptive",
-                              strategy=self.strategy, ttl_s=self.ttl_s,
-                              jobs=self.jobs, throttle_s=self.throttle_s)
-
-    def command_lines(self) -> List[str]:
-        """Shell commands for a remote fleet (proposer first, then workers)."""
-
-        import shlex
-
-        store = shlex.quote(str(self.store_dir))
-        proposer = f"python -m repro dse propose --store {store}"
-        worker = f"python -m repro dse worker --store {store}"
-        return [proposer] + [worker] * self.workers
-
-    def _reap_and_respawn(self) -> None:
-        for proc in list(self._procs):
-            if proc.poll() is None or proc.returncode == 0:
-                continue
-            self._procs.remove(proc)
-            if (self.respawn and self.respawned < self.max_respawns
-                    and not self.ledger.all_done()):
-                self.respawned += 1
-                self._procs.append(spawn_worker_process(self.store_dir))
-
-    def run(self, *, timeout_s: Optional[float] = None) -> Dict[str, object]:
-        """Prepare, spawn workers, run the proposer loop, reap the fleet.
-
-        Returns the proposer summary plus fleet accounting; ``complete``
-        is False when the run timed out or every worker died beyond the
-        respawn budget (workers still running are then terminated).
-        """
-
-        # The dispatch span is the cross-process parent traced workers
-        # hang their root spans under (spawn_worker_process stamps the
-        # open span into their environment); their shards merge in after
-        # the span closes.
-        with _span("dse.dispatch", mode="adaptive",
-                   workers=self.workers) as trace:
-            summary = self._run(timeout_s=timeout_s)
-            trace.set(complete=summary["complete"],
-                      respawned=summary["respawned"])
-        tracer = current_tracer()
-        if tracer is not None:
-            summary["trace"] = adopt_shards(tracer, self.store_dir)
-        return summary
-
-    def _run(self, *, timeout_s: Optional[float]) -> Dict[str, object]:
-        import subprocess
-
-        self.prepare()
-        started = time.monotonic()
-        self._procs = [spawn_worker_process(self.store_dir)
-                       for _ in range(self.workers)]
-
-        class _Abort(Exception):
-            pass
-
-        def tick() -> None:
-            if timeout_s is not None and time.monotonic() - started > timeout_s:
-                raise _Abort
-            self._reap_and_respawn()
-            if not any(proc.poll() is None for proc in self._procs):
-                raise _Abort  # every worker gone: nobody left to evaluate
-
-        complete = False
-        summary: Dict[str, object] = {}
-        try:
-            summary = run_proposer(self.store_dir, poll_s=self.poll_s,
-                                   tick=tick)
-            complete = True
-        except _Abort:
-            pass
-        finally:
-            # Workers exit by themselves once the complete marker lands and
-            # every part is done; anything still running after a grace
-            # period (timeout/abort paths) is terminated so the dispatcher
-            # never leaks processes.
-            deadline = time.monotonic() + max(5.0, 20 * self.poll_s)
-            for proc in self._procs:
-                remaining = max(0.1, deadline - time.monotonic())
-                try:
-                    proc.wait(timeout=remaining)
-                except subprocess.TimeoutExpired:
-                    proc.terminate()
-                    try:
-                        proc.wait(timeout=2.0)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait()
-        summary = dict(summary)
-        summary.update({
-            "complete": complete,
-            "elapsed_s": time.monotonic() - started,
-            "respawned": self.respawned,
-        })
-        return summary

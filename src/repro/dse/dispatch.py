@@ -1,38 +1,47 @@
-"""Filesystem-coordinated shard dispatch for distributed DSE runs.
+"""Filesystem-coordinated dispatch of a DSE run to a fleet of workers.
 
-PR 2's :class:`~repro.dse.store.ExperimentStore` made sharded sweeps
-*mergeable* (every shard appends to its own JSONL file; the directory union
-is the result set), but shards still had to be launched by hand with
-``--shard i/N`` per machine.  This module adds the missing coordination
-layer, using nothing but the shared store directory -- no daemon, no
-database, so it works on any shared filesystem (NFS scratch space, a
-laptop's tmpdir, a CI runner):
+The shared store directory is the only coordination medium -- no daemon, no
+database -- so a fleet runs on any shared filesystem (NFS scratch space, a
+laptop's tmpdir, a CI runner).  A dispatch comes in one of two modes, named
+by the ``mode`` of its manifest (``<store>/dispatch.json``), and both run
+through the same machinery:
 
-* :class:`ShardLedger` -- one lease file per shard under
-  ``<store>/leases/``.  Claims are atomic create-via-hardlink (the classic
-  lockfile idiom: ``os.link`` fails iff the lease exists); heartbeats renew
-  the lease mtime; a lease whose mtime is older than the TTL is *expired*
-  and may be taken over atomically by rename, which is how the shard of a
-  SIGKILLed worker gets re-leased.  Completed shards leave a ``.done``
-  marker so they are never claimed again.
-* :func:`run_worker` -- the worker loop behind ``repro dse worker`` (entry
-  point: :func:`repro.toolflow.parallel.shard_worker`).  Claim a shard,
-  evaluate its points with heartbeat renewal after every persisted task
-  group, mark it done, repeat; when shards remain but none is claimable,
-  wait for a lease to expire instead of stranding it.
-* :class:`Dispatcher` -- partitions a :class:`~repro.dse.space.DesignSpace`
-  into M shards (M > N workers, so a death costs at most one shard of
-  progress), writes the dispatch manifest, runs N local worker processes
-  (or prints the per-machine command lines for remote launch), and watches
-  progress -- point counts and an ETA driven by the per-point ``wall_s``
-  timings the store rows record since schema v2.
+* ``"shards"`` (grid) -- the space is partitioned into M static
+  fingerprint-hash shards; a :class:`ShardLedger` leases shard ``i`` of
+  ``M`` as the work unit ``shard-<i>of<M>``.
+* ``"adaptive"`` -- a strategy proposer writes signed proposal parts, which
+  a :class:`~repro.dse.adaptive.protocol.ProposalLedger` leases by name.
+
+Both ledgers are :class:`LeaseDir` subclasses: name-keyed lease files with
+atomic create-via-hardlink claims, heartbeat mtime renewal, expiry-based
+takeover-by-rename (how a SIGKILLed worker's unit gets re-leased) and
+``.done`` markers.  On top of that:
+
+* :func:`run_worker` -- the one worker loop, behind ``repro dse worker``.
+  It asks the manifest's ledger for a unit *name* (``claim_next``), runs
+  the ledger's per-unit evaluation step with a heartbeat after every
+  persisted task group, releases the unit as done, and repeats; when units
+  remain but none is claimable it waits for a lease to expire rather than
+  stranding a dead worker's unit.  Telemetry, trace shards and lease-loss
+  handling live here once for both modes.
+* :class:`Dispatcher` -- the one fleet driver behind ``repro dse
+  dispatch``: writes the manifest, spawns N local workers (or prints the
+  per-machine command lines), reaps and respawns them, shuts them down and
+  adopts their trace shards.  The mode only supplies the wait step: a grid
+  dispatch polls ``all_done()``, an adaptive one runs the proposer.
+* :func:`open_ledger` and :func:`fleet_progress` -- the single place a
+  manifest's mode is read: its ledger, and its progress snapshot (points
+  done/total/pending, lease counts and an ETA driven by the per-point
+  ``wall_s`` timings the store rows record), shared by
+  :meth:`Dispatcher.progress`, ``dse status --eta`` and ``dse top``.
 
 Correctness leans on two properties rather than on perfect mutual
-exclusion: shard evaluation is **idempotent** (results are deterministic)
-and the store **dedups by fingerprint**, so the worst a lease race can cost
-is duplicated work, never wrong or duplicated data.  A dispatched run's
-merged store therefore exports byte-identically to a single-process run of
-the same space (see :meth:`~repro.dse.store.ExperimentStore.export_rows`).
+exclusion: evaluation is **idempotent** (results are deterministic) and the
+store **dedups by fingerprint**, so the worst a lease race can cost is
+duplicated work, never wrong or duplicated data.  A dispatched run's merged
+store therefore exports byte-identically to a single-process run of the
+same space or strategy (see
+:meth:`~repro.dse.store.ExperimentStore.export_rows`).
 """
 
 from __future__ import annotations
@@ -45,9 +54,9 @@ import subprocess
 import sys
 import time
 import zlib
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dse.runner import DSERunner, Shard
 from repro.dse.space import DesignSpace
@@ -94,27 +103,12 @@ DEFAULT_TELEMETRY_KEEP_SEGMENTS = 2
 
 
 class LeaseLost(RuntimeError):
-    """A worker's heartbeat found its shard lease reclaimed by another worker.
+    """A worker's heartbeat found its lease reclaimed by another worker.
 
-    Raised out of the heartbeat hook to abort the shard mid-evaluation; the
+    Raised out of the heartbeat hook to abort the unit mid-evaluation; the
     rows persisted so far stay in the store (deduped by fingerprint), so the
     new owner replays them instead of recomputing.
     """
-
-
-@dataclass(frozen=True)
-class LeaseState:
-    """Snapshot of one shard's coordination state.
-
-    ``status`` is one of ``"open"`` (unclaimed), ``"active"`` (leased,
-    heartbeat fresh), ``"expired"`` (leased, heartbeat older than the TTL --
-    claimable by takeover) or ``"done"`` (completed, never claimable again).
-    """
-
-    index: int
-    status: str
-    owner: Optional[str] = None
-    age_s: Optional[float] = None
 
 
 def _live_phase() -> Dict[str, str]:
@@ -176,11 +170,14 @@ class LeaseClock:
 class LeaseDir:
     """Name-keyed lease files with atomic claim/renew/release semantics.
 
-    The coordination primitive shared by the shard ledger and the adaptive
-    proposal ledger (:mod:`repro.dse.adaptive.protocol`).  Every unit of
-    work is a *name*; ``<name>.lease`` holds the current owner, ``<name>.done``
-    marks completion.  All operations go through atomic filesystem
-    primitives:
+    The coordination primitive of both dispatch modes: :class:`ShardLedger`
+    and the adaptive :class:`~repro.dse.adaptive.protocol.ProposalLedger`
+    subclass it, each naming its units in :meth:`work_names`, and the
+    worker loop talks to either through :meth:`claim_next`, :meth:`renew`,
+    :meth:`release`, :meth:`all_done` and :meth:`status_counts`.  Every
+    unit of work is a *name*; ``<name>.lease`` holds the current owner,
+    ``<name>.done`` marks completion.  All operations go through atomic
+    filesystem primitives:
 
     * **claim** -- the owner payload is written to a private temp file and
       hardlinked to the lease name; ``os.link`` fails if the lease exists,
@@ -335,24 +332,59 @@ class LeaseDir:
         status = "expired" if age > self.ttl_s else "active"
         return status, self.owner_of(name), age
 
+    # ------------------------------------------------------------------ #
+    # The ledger protocol of the worker loop (subclasses name the units).
+    # ------------------------------------------------------------------ #
+    def work_names(self) -> List[str]:
+        """Every unit of work this ledger leases, in claim-scan order."""
 
-class ShardLedger:
-    """Lease files deciding which worker owns which shard of a dispatch.
+        raise NotImplementedError
 
-    A thin index-keyed view over :class:`LeaseDir` (shard ``i`` of ``N`` is
-    the work unit named ``shard-<i>of<N>``); see there for the atomicity and
-    crash-recovery discipline.
+    def claim_next(self, owner: str) -> Optional[str]:
+        """Claim the first available unit for ``owner``; its name or ``None``.
+
+        The scan starts at an owner-dependent offset, so N workers hitting
+        an empty ledger at once mostly claim N different units on the first
+        pass instead of stampeding the first one.
+        """
+
+        names = self.work_names()
+        offset = zlib.crc32(owner.encode()) % len(names) if names else 0
+        for name in names[offset:] + names[:offset]:
+            if self.claim(name, owner):
+                return name
+        return None
+
+    def status_counts(self) -> Dict[str, int]:
+        """How many units are ``open``/``active``/``expired``/``done``."""
+
+        counts = {"open": 0, "active": 0, "expired": 0, "done": 0}
+        for name in self.work_names():
+            counts[self.status_of(name)[0]] += 1
+        return counts
+
+    def all_done(self) -> bool:
+        """True once every unit is done (the worker loop's exit test)."""
+
+        return all(self.is_done(name) for name in self.work_names())
+
+
+class ShardLedger(LeaseDir):
+    """The grid-mode ledger: shard ``i`` of ``N`` is the unit ``shard-<i>of<N>``.
+
+    Lives in ``<store>/leases/``; see :class:`LeaseDir` for the atomicity
+    and crash-recovery discipline.  Its per-unit step evaluates one
+    fingerprint-hash :class:`~repro.dse.runner.Shard` of the space.
     """
 
     def __init__(self, directory, count: int, *, ttl_s: float = DEFAULT_TTL_S,
                  clock: Optional[LeaseClock] = None) -> None:
         if count < 1:
             raise ValueError("shard count must be at least 1")
-        self._leases = LeaseDir(directory, ttl_s=ttl_s, clock=clock)
-        self.directory = self._leases.directory
+        super().__init__(directory, ttl_s=ttl_s, clock=clock)
         self.count = int(count)
-        self.ttl_s = self._leases.ttl_s
-        self.clock = self._leases.clock
+        shards = [Shard(index, self.count) for index in range(1, count + 1)]
+        self._shards = {shard.name: shard for shard in shards}
 
     @classmethod
     def for_store(cls, store_dir, count: int, *, ttl_s: float = DEFAULT_TTL_S,
@@ -361,88 +393,43 @@ class ShardLedger:
 
         return cls(Path(store_dir) / LEASE_DIR, count, ttl_s=ttl_s, clock=clock)
 
-    # ------------------------------------------------------------------ #
-    def _check_index(self, index: int) -> None:
-        if not 1 <= index <= self.count:
-            raise ValueError(f"shard index must be in 1..{self.count}, "
-                             f"got {index}")
+    def work_names(self) -> List[str]:
+        return list(self._shards)
 
-    def _name(self, index: int) -> str:
-        self._check_index(index)
-        return f"shard-{index}of{self.count}"
+    def shard(self, name: str) -> Shard:
+        """The :class:`~repro.dse.runner.Shard` a unit name stands for."""
 
-    def shard(self, index: int) -> Shard:
-        self._check_index(index)
-        return Shard(index, self.count)
+        try:
+            return self._shards[name]
+        except KeyError:
+            raise ValueError(f"{name!r} is not one of shards "
+                             f"1..{self.count}") from None
 
-    def lease_path(self, index: int) -> Path:
-        return self._leases.lease_path(self._name(index))
+    @contextmanager
+    def evaluator(self, store_dir, space: DesignSpace, owner: str,
+                  **runner_options) -> Iterator[Callable]:
+        """The per-unit step of the worker loop: evaluate one leased shard.
 
-    def done_path(self, index: int) -> Path:
-        return self._leases.done_path(self._name(index))
-
-    # ------------------------------------------------------------------ #
-    def claim(self, index: int, owner: str) -> bool:
-        """Try to lease shard ``index`` for ``owner``; True iff it succeeded."""
-
-        return self._leases.claim(self._name(index), owner)
-
-    def renew(self, index: int, owner: str) -> bool:
-        """Heartbeat: refresh ``owner``'s lease mtime; False if it was lost.
-
-        A False return means the lease expired and another worker took the
-        shard over (or released it) -- the caller must stop working on it.
+        Each shard gets a *fresh* store load, so a reclaimed shard replays
+        the rows other workers (including a dead one) flushed so far
+        instead of recomputing them.  The writer file is per-(shard,
+        owner): after a takeover, an alive-but-slow previous owner may
+        still flush one in-flight group before its next heartbeat notices
+        the loss, and two processes appending to one file over NFS can tear
+        each other's rows.  Separate files close that window; directory
+        union and fingerprint dedup merge them losslessly.
         """
 
-        return self._leases.renew(self._name(index), owner)
+        def evaluate(name: str, heartbeat: Callable[[], None]) -> Dict:
+            writer = f"{name}-{_filename_safe(owner)}"
+            with ExperimentStore(store_dir, writer=writer) as store:
+                runner = DSERunner(space, store=store, shard=self.shard(name),
+                                   heartbeat=heartbeat, **runner_options)
+                with span("dse.shard", shard=name, owner=owner):
+                    runner.evaluate_space()
+            return runner.stats
 
-    def release(self, index: int, owner: str, *, done: bool = True) -> None:
-        """Drop ``owner``'s lease; with ``done=True`` mark the shard complete."""
-
-        self._leases.release(self._name(index), owner, done=done)
-
-    def owner_of(self, index: int) -> Optional[str]:
-        """The owner recorded in a shard's lease file, or ``None``."""
-
-        return self._leases.owner_of(self._name(index))
-
-    # ------------------------------------------------------------------ #
-    def state(self, index: int) -> LeaseState:
-        """The current :class:`LeaseState` of one shard."""
-
-        status, owner, age = self._leases.status_of(self._name(index))
-        return LeaseState(index, status, owner=owner, age_s=age)
-
-    def states(self) -> List[LeaseState]:
-        return [self.state(index) for index in range(1, self.count + 1)]
-
-    def status_counts(self) -> Dict[str, int]:
-        counts = {"open": 0, "active": 0, "expired": 0, "done": 0}
-        for state in self.states():
-            counts[state.status] += 1
-        return counts
-
-    def done_count(self) -> int:
-        return sum(1 for index in range(1, self.count + 1)
-                   if self.done_path(index).exists())
-
-    def all_done(self) -> bool:
-        return self.done_count() == self.count
-
-    def next_claim(self, owner: str) -> Optional[Shard]:
-        """Claim the first available shard for ``owner`` (or ``None``).
-
-        Workers start their scan at an owner-dependent offset so N workers
-        hitting an empty ledger at once mostly claim N different shards on
-        the first pass instead of stampeding shard 1.
-        """
-
-        offset = zlib.crc32(owner.encode()) % self.count
-        for step in range(self.count):
-            index = (offset + step) % self.count + 1
-            if self.claim(index, owner):
-                return self.shard(index)
-        return None
+        yield evaluate
 
 
 # --------------------------------------------------------------------------- #
@@ -539,48 +526,18 @@ class WorkerTelemetry:
                  segments: Sequence[int]) -> None:
         """Fold ``segments`` (and the prior summary) into ``seg0``."""
 
-        totals = {
-            "t": 0.0, "owner": self.owner, "event": "summary",
-            "claims": 0, "renews": 0, "lost": 0, "done": 0,
-            "points": 0, "replayed": 0, "wall_s": 0.0,
-            "folded": 0, "folded_through": max(segments),
-            "first_t": None, "alive": None, "last_event": None,
-        }
+        totals = _new_fold()
+        folded = 0
         if summary is not None:
-            for key in ("claims", "renews", "lost", "done", "points",
-                        "replayed", "wall_s", "folded"):
-                value = summary.get(key)
-                if isinstance(value, (int, float)):
-                    totals[key] += value
-            totals["first_t"] = summary.get("first_t", summary.get("t"))
-            totals["t"] = float(summary.get("t") or 0.0)
-            totals["alive"] = summary.get("alive")
-            totals["last_event"] = summary.get("last_event")
+            _fold_event(totals, summary)
+            folded = int(summary.get("folded") or 0)
         for k in segments:
             for record in _parse_telemetry_file(self._segment_path(k)):
-                event = record.get("event")
-                totals["folded"] += 1
-                if event == "claim":
-                    totals["claims"] += 1
-                elif event == "renew":
-                    totals["renews"] += 1
-                elif event == "lease_lost":
-                    totals["lost"] += 1
-                elif event == "done":
-                    totals["done"] += 1
-                    totals["points"] += int(record.get("points") or 0)
-                    totals["replayed"] += int(record.get("replayed") or 0)
-                    totals["wall_s"] += float(record.get("wall_s") or 0.0)
-                elif event == "worker_start":
-                    totals["alive"] = True
-                elif event == "worker_exit":
-                    totals["alive"] = False
-                totals["last_event"] = event
-                t = record.get("t")
-                if isinstance(t, (int, float)):
-                    totals["t"] = max(totals["t"], float(t))
-                    if totals["first_t"] is None or t < totals["first_t"]:
-                        totals["first_t"] = float(t)
+                _fold_event(totals, record)
+                folded += 1
+        totals.update({"owner": self.owner, "event": "summary",
+                       "t": totals["t"] or 0.0, "folded": folded,
+                       "folded_through": max(segments)})
         target = self._segment_path(0)
         scratch = target.with_name(target.name + ".tmp")
         scratch.write_text(json.dumps(totals, sort_keys=True) + "\n",
@@ -594,6 +551,62 @@ class WorkerTelemetry:
                 self._segment_path(k).unlink()
             except OSError:
                 pass
+
+
+#: Telemetry event -> the counter it bumps in a folded row.  A compaction
+#: ``summary`` row carries the cumulative counters under these same names.
+_EVENT_COUNTERS = {"claim": "claims", "renew": "renews",
+                   "lease_lost": "lost", "done": "done"}
+
+#: Per-``done`` totals, with their types, accumulated alongside the counts.
+_DONE_TOTALS = {"points": int, "replayed": int, "wall_s": float}
+
+
+def _new_fold() -> Dict[str, object]:
+    """An empty per-worker fold (see :func:`_fold_event`)."""
+
+    row: Dict[str, object] = dict.fromkeys(_EVENT_COUNTERS.values(), 0)
+    row.update({key: kind() for key, kind in _DONE_TOTALS.items()})
+    row.update({"alive": None, "last_event": None, "t": None,
+                "first_t": None})
+    return row
+
+
+def _fold_event(row: Dict[str, object], record: Dict[str, object]) -> str:
+    """Fold one telemetry record into a worker's running accounting.
+
+    The one event fold behind both telemetry compaction and
+    :func:`telemetry_summary`: lease events bump their counter (a ``done``
+    also adds its points, replays and wall time), ``worker_start`` /
+    ``worker_exit`` set ``alive``, and a compaction ``summary`` row adds
+    its cumulative totals.  ``t`` / ``first_t`` track the latest and
+    earliest timestamps seen.  Returns the event the record stands for --
+    for a summary, the last event it folded.
+    """
+
+    event = record.get("event")
+    if event in ("done", "summary"):
+        for key, kind in _DONE_TOTALS.items():
+            row[key] += kind(record.get(key) or 0)
+    if event in _EVENT_COUNTERS:
+        row[_EVENT_COUNTERS[event]] += 1
+    elif event in ("worker_start", "worker_exit"):
+        row["alive"] = event == "worker_start"
+    elif event == "summary":
+        for key in _EVENT_COUNTERS.values():
+            row[key] += int(record.get(key) or 0)
+        if record.get("alive") is not None:
+            row["alive"] = bool(record["alive"])
+        event = record.get("last_event") or event
+    row["last_event"] = event
+    t = record.get("t")
+    if isinstance(t, (int, float)):
+        row["t"] = float(t) if row["t"] is None else max(row["t"], float(t))
+    first = record.get("first_t", t)
+    if isinstance(first, (int, float)) and \
+            (row["first_t"] is None or first < row["first_t"]):
+        row["first_t"] = float(first)
+    return event
 
 
 def _parse_telemetry_file(path: Path) -> List[Dict[str, object]]:
@@ -684,86 +697,43 @@ def telemetry_summary(store_dir, *,
     workers; ``None`` for untraced runs or between work units).
     """
 
-    workers: Dict[str, Dict[str, object]] = {}
+    folds: Dict[str, Dict[str, object]] = {}
+    phases: Dict[str, Optional[str]] = {}
     for record in read_telemetry(store_dir):
         owner = record.get("owner")
         if not isinstance(owner, str) or not owner:
             continue
-        row = workers.setdefault(owner, {
-            "claims": 0, "renewals": 0, "lost": 0, "done": 0,
-            "points": 0, "replayed": 0, "wall_s": 0.0,
-            "alive": False, "last_event": None, "last_seen_t": None,
-            "phase": None,
-        })
-        event = record.get("event")
-        if event == "claim":
-            row["claims"] += 1
-        elif event == "renew":
-            row["renewals"] += 1
-        elif event == "lease_lost":
-            row["lost"] += 1
-        elif event == "done":
-            row["done"] += 1
-            row["points"] += int(record.get("points") or 0)
-            row["replayed"] += int(record.get("replayed") or 0)
-            row["wall_s"] += float(record.get("wall_s") or 0.0)
-        elif event == "worker_start":
-            row["alive"] = True
-        elif event == "worker_exit":
-            row["alive"] = False
-        elif event == "summary":
-            # Compacted history: fold the cumulative totals in, and let
-            # the (ordered) live events that follow refine alive/last_event.
-            row["claims"] += int(record.get("claims") or 0)
-            row["renewals"] += int(record.get("renews") or 0)
-            row["lost"] += int(record.get("lost") or 0)
-            row["done"] += int(record.get("done") or 0)
-            row["points"] += int(record.get("points") or 0)
-            row["replayed"] += int(record.get("replayed") or 0)
-            row["wall_s"] += float(record.get("wall_s") or 0.0)
-            if record.get("alive") is not None:
-                row["alive"] = bool(record["alive"])
-            event = record.get("last_event") or event
-        row["last_event"] = event
+        event = _fold_event(folds.setdefault(owner, _new_fold()), record)
         if "phase" in record:
             phase = record["phase"]
-            row["phase"] = phase if isinstance(phase, str) else None
+            phases[owner] = phase if isinstance(phase, str) else None
         elif event in ("done", "lease_lost", "worker_exit"):
-            row["phase"] = None  # the work unit's span closed with it
-        t = record.get("t")
-        if isinstance(t, (int, float)):
-            last = row["last_seen_t"]
-            if last is None or t > last:
-                row["last_seen_t"] = float(t)
+            phases[owner] = None  # the work unit's span closed with it
     if now is None:
         now = LeaseClock().now()
-    for row in workers.values():
-        last = row.pop("last_seen_t")
-        row["last_seen_age_s"] = (max(0.0, now - last)
-                                  if last is not None else None)
+    workers: Dict[str, Dict[str, object]] = {}
+    for owner, fold in folds.items():
+        last = fold["t"]
+        workers[owner] = {
+            "claims": fold["claims"], "renewals": fold["renews"],
+            "lost": fold["lost"], "done": fold["done"],
+            "points": fold["points"], "replayed": fold["replayed"],
+            "wall_s": fold["wall_s"], "alive": bool(fold["alive"]),
+            "last_event": fold["last_event"], "phase": phases.get(owner),
+            "last_seen_age_s": (max(0.0, now - last)
+                                if last is not None else None),
+        }
     return workers
 
 
 # --------------------------------------------------------------------------- #
 # Dispatch manifest: the one file a worker needs to join a run.
 # --------------------------------------------------------------------------- #
-def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = None,
+def _make_manifest(space: DesignSpace, *, shards: Optional[int] = None,
                    ttl_s: float = DEFAULT_TTL_S, jobs: int = 1,
                    throttle_s: float = 0.0, mode: str = "shards",
-                   strategy: Optional[Dict[str, object]] = None) -> Path:
-    """Write ``<store>/dispatch.json`` describing the run (atomic replace).
-
-    A worker pointed at the store directory reads everything it needs from
-    this manifest: the space, the coordination ``mode`` (``"shards"`` --
-    static fingerprint-hash shards, the default and the only pre-v3 mode --
-    or ``"adaptive"`` -- workers lease proposal batches written by a
-    strategy proposer, see :mod:`repro.dse.adaptive.protocol`), the shard
-    count (shards mode), the strategy spec (adaptive mode), the lease TTL
-    and the per-worker ``jobs``.  Re-preparing an existing dispatch is
-    allowed only if the space, mode, shard count and strategy are unchanged
-    (the work partition must stay stable across resumes); TTL/jobs/throttle
-    may be retuned.
-    """
+                   strategy: Optional[Dict[str, object]] = None) -> Dict:
+    """The manifest describing one dispatch (see :func:`write_manifest`)."""
 
     from repro.io.serialization import SCHEMA_VERSION
 
@@ -774,9 +744,6 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
         raise ValueError("shards-mode dispatch needs a shard count")
     if mode == "adaptive" and strategy is None:
         raise ValueError("adaptive-mode dispatch needs a strategy spec")
-    store_dir = Path(store_dir)
-    store_dir.mkdir(parents=True, exist_ok=True)
-    path = store_dir / MANIFEST_NAME
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "space": space.to_dict(),
@@ -789,10 +756,33 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
         manifest["shards"] = int(shards)
     if strategy is not None:
         manifest["strategy"] = dict(strategy)
+    return manifest
+
+
+def write_manifest(store_dir, space: DesignSpace, **settings) -> Path:
+    """Write ``<store>/dispatch.json`` describing the run (atomic replace).
+
+    A worker pointed at the store directory reads everything it needs from
+    this manifest: the space, the coordination ``mode`` (``"shards"`` --
+    static fingerprint-hash shards, the default and the only pre-v3 mode --
+    or ``"adaptive"`` -- workers lease proposal batches written by a
+    strategy proposer, see :mod:`repro.dse.adaptive.protocol`), the shard
+    count (shards mode), the strategy spec (adaptive mode), the lease TTL
+    and the per-worker ``jobs``; ``settings`` are the keyword arguments of
+    :func:`_make_manifest`.  Re-preparing an existing dispatch is allowed
+    only if the space, mode, shard count and strategy are unchanged (the
+    work partition must stay stable across resumes); TTL/jobs/throttle may
+    be retuned.
+    """
+
+    manifest = _make_manifest(space, **settings)
+    store_dir = Path(store_dir)
+    store_dir.mkdir(parents=True, exist_ok=True)
+    path = store_dir / MANIFEST_NAME
     if path.exists():
         existing = read_manifest(store_dir)
         if (existing.get("space") != manifest["space"]
-                or existing.get("mode", "shards") != mode
+                or existing.get("mode", "shards") != manifest["mode"]
                 or existing.get("shards") != manifest.get("shards")
                 or existing.get("strategy") != manifest.get("strategy")):
             raise ValueError(
@@ -824,49 +814,133 @@ def read_manifest(store_dir) -> Dict:
 
 
 # --------------------------------------------------------------------------- #
+# The manifest's mode: its ledger and its progress.  The only place the mode
+# is read.
+# --------------------------------------------------------------------------- #
+def _is_adaptive(manifest: Dict) -> bool:
+    return manifest.get("mode", "shards") == "adaptive"
+
+
+def _mode_fields(manifest: Dict) -> Dict[str, object]:
+    """The mode (plus a grid's shard count) for telemetry and span attrs."""
+
+    fields: Dict[str, object] = {"mode": manifest.get("mode", "shards")}
+    if "shards" in manifest:
+        fields["shards"] = manifest["shards"]
+    return fields
+
+
+def open_ledger(store_dir, manifest: Dict, *, ttl_s: Optional[float] = None,
+                clock: Optional[LeaseClock] = None) -> LeaseDir:
+    """The lease ledger a dispatch manifest coordinates through.
+
+    A :class:`ShardLedger` for a grid manifest, a
+    :class:`~repro.dse.adaptive.protocol.ProposalLedger` for an adaptive
+    one.  ``ttl_s`` defaults to the manifest's.
+    """
+
+    if ttl_s is None:
+        ttl_s = float(manifest.get("ttl_s", DEFAULT_TTL_S))
+    if _is_adaptive(manifest):
+        from repro.dse.adaptive.protocol import ProposalLedger
+
+        return ProposalLedger(store_dir, ttl_s=ttl_s, clock=clock)
+    return ShardLedger.for_store(store_dir, manifest["shards"], ttl_s=ttl_s,
+                                 clock=clock)
+
+
+def _evaluation_budget(space_size: int,
+                       strategy: Dict[str, object]) -> Optional[int]:
+    """Points an adaptive strategy evaluates at most, or ``None``.
+
+    The spec's ``max_evals`` when given, else the proposer's own default
+    (``bayes``: a quarter of the grid, ``ehvi``/``parego``: half).  A
+    multi-fidelity ladder has no fixed budget -- its rung sizes depend on
+    results -- hence ``None``.
+    """
+
+    if strategy.get("max_evals") is not None:
+        return int(strategy["max_evals"])
+    batch_size = int(strategy.get("batch_size", 4))
+    if strategy.get("name") == "bayes":
+        from repro.dse.adaptive.propose import default_max_evals
+
+        return default_max_evals(space_size, batch_size)
+    if strategy.get("name") in ("ehvi", "parego"):
+        from repro.dse.moo.propose import default_moo_max_evals
+
+        return default_moo_max_evals(space_size, batch_size)
+    return None
+
+
+def fleet_progress(store: ExperimentStore, manifest: Dict,
+                   ledger: LeaseDir) -> Dict[str, object]:
+    """One progress snapshot of a dispatched store.
+
+    ``points_done`` counts store rows (a dispatch store is dedicated to one
+    study).  ``points_total`` is the grid size for a grid dispatch; for an
+    adaptive one it is the strategy's evaluation budget (capped at the
+    grid), the stored row count once the proposer has marked the run
+    complete, or ``None`` when the strategy has no fixed budget -- then
+    ``points_pending`` and ``eta_s`` are ``None`` too.  ``leases`` counts
+    the ledger's units by status; the ETA spreads the pending points'
+    mean recorded ``wall_s`` over the actively leasing workers.
+    """
+
+    done = len(store)
+    total: Optional[int] = DesignSpace.from_dict(manifest["space"]).size
+    if _is_adaptive(manifest):
+        if ledger.read_complete() is not None:
+            total = done
+        else:
+            budget = _evaluation_budget(total, manifest["strategy"])
+            total = None if budget is None else min(total, budget)
+    counts = ledger.status_counts()
+    pending = None if total is None else max(0, total - done)
+    return {
+        "points_done": done,
+        "points_total": total,
+        "points_pending": pending,
+        "leases": counts,
+        "eta_s": (None if pending is None else
+                  estimate_eta_s(pending, store.wall_timings(),
+                                 max(1, counts["active"]))),
+    }
+
+
+# --------------------------------------------------------------------------- #
 # Worker loop
 # --------------------------------------------------------------------------- #
 def run_worker(store_dir, *, owner: Optional[str] = None,
                jobs: Optional[int] = None, circuits=None,
                idle_wait_s: Optional[float] = None) -> Dict[str, object]:
-    """Lease and evaluate work from ``store_dir`` until the run completes.
+    """Lease and evaluate work units from ``store_dir`` until the run completes.
 
-    The dispatch manifest decides the coordination mode: static shards
-    (below) or, for ``mode: "adaptive"`` manifests, proposal batches written
-    by a strategy proposer -- the worker then delegates to
-    :func:`repro.dse.adaptive.protocol.run_adaptive_worker`, so every
-    worker, local or remote, joins either kind of run through this one
-    entry point.
-
-    The shards-mode loop: claim a shard, open a *fresh* store view (so rows flushed by
-    other workers -- including a dead worker's partial shard file -- replay
-    instead of recomputing), evaluate the shard's points with a heartbeat
-    after every persisted task group, mark the shard done, repeat.  When
-    shards remain but none is claimable (all actively leased), the worker
-    waits for a lease to expire rather than exiting and stranding a dead
-    worker's shard.
+    The one worker loop of both dispatch modes, behind ``repro dse
+    worker``: the manifest names the ledger (:func:`open_ledger`), and the
+    loop asks it for a unit name, runs the ledger's per-unit step (a grid
+    shard, or an adaptive proposal part) with a heartbeat after every
+    persisted task group, releases the unit as done, and repeats.  A
+    heartbeat that finds the lease reclaimed raises :class:`LeaseLost`,
+    which abandons the unit without marking it done.  When units remain but
+    none is claimable (all actively leased), the worker waits for a lease
+    to expire rather than exiting and stranding a dead worker's unit.
 
     One :class:`~repro.toolflow.parallel.ProgramCache` is shared across all
-    shards this worker runs, so gate variants split across shards still
+    units this worker runs, so gate variants split across units still
     compile once per worker.
 
-    Returns ``{"owner", "completed", "lost"}`` where ``lost`` lists shards
-    aborted because the lease was reclaimed mid-evaluation.
+    Returns ``{"owner", "completed", "lost"}``: the names of the units
+    finished, and of those aborted because the lease was reclaimed
+    mid-evaluation.
     """
 
     from repro.toolflow.parallel import ProgramCache
 
     store_dir = Path(store_dir)
     manifest = read_manifest(store_dir)
-    if manifest.get("mode", "shards") == "adaptive":
-        from repro.dse.adaptive.protocol import run_adaptive_worker
-
-        return run_adaptive_worker(store_dir, manifest=manifest, owner=owner,
-                                   jobs=jobs, circuits=circuits,
-                                   idle_wait_s=idle_wait_s)
     space = DesignSpace.from_dict(manifest["space"])
-    ledger = ShardLedger.for_store(store_dir, manifest["shards"],
-                                   ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
+    ledger = open_ledger(store_dir, manifest)
     owner = owner or default_owner()
     jobs = int(manifest.get("jobs", 1)) if jobs is None else int(jobs)
     throttle_s = float(manifest.get("throttle_s", 0.0))
@@ -882,11 +956,11 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     if trace_ctx is not None:
         trace_ctx.arm()
         shard_writer = TraceShardWriter(store_dir, owner)
-    telemetry.emit("worker_start", mode="shards", shards=ledger.count,
-                   jobs=jobs, pid=os.getpid())
+    telemetry.emit("worker_start", **_mode_fields(manifest), jobs=jobs,
+                   pid=os.getpid())
     cache = ProgramCache()
-    completed: List[int] = []
-    lost: List[int] = []
+    completed: List[str] = []
+    lost: List[str] = []
     seen_counters: Dict[str, int] = {}
 
     def counters_delta() -> Dict[str, int]:
@@ -906,61 +980,49 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
         seen_counters.update(current)
         return moved
 
-    while True:
-        shard = ledger.next_claim(owner)
-        if shard is None:
-            if ledger.all_done():
-                break
-            # Unfinished shards are all actively leased; one of them may
-            # belong to a dead worker, so wait for expiry instead of exiting.
-            time.sleep(idle_wait_s)
-            continue
-        telemetry.emit("claim", work=shard.name, **_live_phase())
-        shard_started = time.perf_counter()
+    with ledger.evaluator(store_dir, space, owner, jobs=jobs, cache=cache,
+                          circuits=circuits) as evaluate:
+        while True:
+            name = ledger.claim_next(owner)
+            if name is None:
+                if ledger.all_done():
+                    break
+                # Unfinished units are all actively leased (one may belong
+                # to a dead worker), or an adaptive proposer has not yet
+                # written the next batch: wait instead of exiting.
+                time.sleep(idle_wait_s)
+                continue
+            telemetry.emit("claim", work=name, **_live_phase())
+            started = time.perf_counter()
 
-        def heartbeat(index: int = shard.index, name: str = shard.name) -> None:
-            if not ledger.renew(index, owner):
-                raise LeaseLost(f"lease on shard {index}/{ledger.count} was "
-                                f"reclaimed from {owner}")
-            telemetry.emit("renew", work=name, **_live_phase())
-            if throttle_s:
-                time.sleep(throttle_s)
+            def heartbeat(name: str = name) -> None:
+                if not ledger.renew(name, owner):
+                    raise LeaseLost(f"lease on {name} was reclaimed from "
+                                    f"{owner}")
+                telemetry.emit("renew", work=name, **_live_phase())
+                if throttle_s:
+                    time.sleep(throttle_s)
 
-        # A fresh store load sees every row other workers have flushed so
-        # far, so a reclaimed shard replays the dead worker's partial
-        # results instead of recomputing them.  The writer file is
-        # per-(shard, owner): after a takeover, an alive-but-slow previous
-        # owner may still flush one in-flight group before its next
-        # heartbeat notices the loss, and two processes appending to one
-        # file over NFS can tear each other's rows.  Separate files close
-        # that window; directory union and fingerprint dedup merge them
-        # losslessly.
-        writer = f"{shard.name}-{_filename_safe(owner)}"
-        with ExperimentStore(store_dir, writer=writer) as store:
-            runner = DSERunner(space, store=store, jobs=jobs, shard=shard,
-                               cache=cache, circuits=circuits,
-                               heartbeat=heartbeat)
             try:
-                with span("dse.shard", shard=shard.name, owner=owner):
-                    runner.evaluate_space()
+                stats = evaluate(name, heartbeat)
             except LeaseLost:
-                lost.append(shard.index)
-                telemetry.emit("lease_lost", work=shard.name)
+                lost.append(name)
+                telemetry.emit("lease_lost", work=name)
                 if shard_writer is not None:
                     shard_writer.flush(current_tracer())
                 continue
-        ledger.release(shard.index, owner, done=True)
-        completed.append(shard.index)
-        telemetry.emit("done", work=shard.name,
-                       points=runner.stats.get("evaluated", 0),
-                       replayed=runner.stats.get("reused", 0),
-                       wall_s=round(time.perf_counter() - shard_started, 6),
-                       counters=counters_delta())
-        if shard_writer is not None:
-            # Flush after every completed shard: a SIGKILL later costs only
-            # the spans since this point, and the shard file is always a
-            # complete atomic snapshot (never a torn append).
-            shard_writer.flush(current_tracer())
+            ledger.release(name, owner, done=True)
+            completed.append(name)
+            telemetry.emit("done", work=name,
+                           points=stats.get("evaluated", 0),
+                           replayed=stats.get("reused", 0),
+                           wall_s=round(time.perf_counter() - started, 6),
+                           counters=counters_delta())
+            if shard_writer is not None:
+                # Flush after every completed unit: a SIGKILL later costs
+                # only the spans since this point, and the shard file is
+                # always a complete atomic snapshot (never a torn append).
+                shard_writer.flush(current_tracer())
     telemetry.emit("worker_exit", completed=len(completed), lost=len(lost),
                    counters=cache.metrics.counters())
     if shard_writer is not None:
@@ -1037,25 +1099,35 @@ def format_eta(eta_s: Optional[float]) -> str:
 # --------------------------------------------------------------------------- #
 # Dispatcher
 # --------------------------------------------------------------------------- #
+class _Abort(Exception):
+    """The dispatcher's wait step gave up (timeout, or no worker left)."""
+
+
 class Dispatcher:
-    """Partition a space into leased shards and drive workers to completion.
+    """Drive a fleet of local workers through one dispatch, grid or adaptive.
 
     Parameters
     ----------
     space:
-        The design space to evaluate (exhaustive grid; adaptive strategies
-        cannot shard -- see :meth:`DSERunner.run`).
+        The design space to evaluate.
     store_dir:
         Experiment-store directory shared by all workers.  Should be
         dedicated to this study: progress accounting assumes every row in
         it belongs to ``space``.
+    strategy:
+        ``None`` (default) for a grid dispatch of every point in leased
+        shards.  Otherwise an adaptive strategy spec (``{"name": "bayes",
+        "seed": ..., ...}``): the proposal loop runs in this process and
+        each batch is split into ``parts`` leased slices (default: one per
+        worker).  The resolved evaluation budget is recorded in the
+        manifest so progress tooling never has to construct a proposer.
     workers:
         Local worker processes to run (ignored by :meth:`command_lines`,
         which targets remote launch).
     shards:
-        Lease granularity; defaults to ``4 * workers`` so workers stay busy
-        through the tail and a worker death forfeits at most one shard of
-        fresh progress.
+        Grid lease granularity; defaults to ``4 * workers`` so workers stay
+        busy through the tail and a worker death forfeits at most one shard
+        of fresh progress.
     ttl_s:
         Lease time-to-live; must exceed the slowest task group's wall time
         -- one compile plus all its folded gate-variant simulations --
@@ -1065,25 +1137,43 @@ class Dispatcher:
         ``workers x jobs``).
     throttle_s:
         Optional sleep per heartbeat inside workers -- a load limiter for
-        shared machines, also used by the CI smoke test to widen the
-        kill window.  Default 0.
+        shared machines, also used by the CI smokes to widen the kill
+        window.  Default 0.
+    poll_s:
+        Seconds between the dispatcher's completion (or result) polls.
     respawn / max_respawns:
         Replace workers that exited non-zero (up to ``max_respawns``,
-        default ``workers``) while unfinished shards remain.
+        default ``workers``) while unfinished work remains.
     """
 
-    def __init__(self, space: DesignSpace, store_dir, *, workers: int = 2,
-                 shards: Optional[int] = None, ttl_s: float = DEFAULT_TTL_S,
-                 jobs: int = 1, throttle_s: float = 0.0, poll_s: float = 0.5,
+    def __init__(self, space: DesignSpace, store_dir, *,
+                 strategy: Optional[Dict[str, object]] = None,
+                 workers: int = 2, shards: Optional[int] = None,
+                 ttl_s: float = DEFAULT_TTL_S, jobs: int = 1,
+                 throttle_s: float = 0.0, poll_s: float = 0.2,
                  respawn: bool = True, max_respawns: Optional[int] = None) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
         self.space = space
         self.store_dir = Path(store_dir)
         self.workers = int(workers)
-        self.shards = int(shards) if shards is not None else 4 * self.workers
-        if self.shards < 1:
-            raise ValueError("need at least one shard")
+        self.strategy = None
+        if strategy is None:
+            self.shards = int(shards) if shards is not None else 4 * self.workers
+            if self.shards < 1:
+                raise ValueError("need at least one shard")
+        elif shards is not None:
+            raise ValueError("shards apply to grid dispatches only; an "
+                             "adaptive dispatch splits each proposal batch "
+                             "into parts instead")
+        else:
+            self.shards = None
+            self.strategy = dict(strategy)
+            self.strategy.setdefault("parts", self.workers)
+            if self.strategy.get("max_evals") is None:
+                budget = _evaluation_budget(space.size, self.strategy)
+                if budget is not None:
+                    self.strategy["max_evals"] = budget
         self.ttl_s = float(ttl_s)
         self.jobs = int(jobs)
         self.throttle_s = float(throttle_s)
@@ -1092,8 +1182,12 @@ class Dispatcher:
         self.max_respawns = (self.workers if max_respawns is None
                              else int(max_respawns))
         self.respawned = 0
-        self.ledger = ShardLedger.for_store(self.store_dir, self.shards,
-                                            ttl_s=self.ttl_s)
+        self._settings = dict(
+            shards=self.shards, ttl_s=self.ttl_s, jobs=self.jobs,
+            throttle_s=self.throttle_s, strategy=self.strategy,
+            mode="shards" if self.strategy is None else "adaptive")
+        self.manifest = _make_manifest(space, **self._settings)
+        self.ledger = open_ledger(self.store_dir, self.manifest)
         self._procs: List[subprocess.Popen] = []
         self._progress_store: Optional[ExperimentStore] = None
 
@@ -1101,28 +1195,27 @@ class Dispatcher:
     def prepare(self) -> Path:
         """Write the dispatch manifest; workers can join once this returns."""
 
-        return write_manifest(self.store_dir, self.space, shards=self.shards,
-                              ttl_s=self.ttl_s, jobs=self.jobs,
-                              throttle_s=self.throttle_s)
-
-    def worker_command(self) -> List[str]:
-        """argv for one local worker subprocess."""
-
-        return worker_argv(self.store_dir)
+        return write_manifest(self.store_dir, self.space, **self._settings)
 
     def command_lines(self) -> List[str]:
-        """Shell commands for launching the workers on remote machines.
+        """Shell commands for launching the fleet on remote machines.
 
-        Every machine that mounts the store directory runs the same
+        Every machine that mounts the store directory runs the same worker
         command; workers coordinate purely through the ledger, so any
-        number may join or die at any time.  Derived from
-        :func:`worker_argv` with a portable ``python`` in place of this
-        machine's interpreter path.
+        number may join or die at any time.  An adaptive dispatch adds one
+        ``repro dse propose`` line, first, for wherever the proposer should
+        live.  Derived from :func:`worker_argv` with a portable ``python``
+        in place of this machine's interpreter path.
         """
 
-        argv = ["python"] + worker_argv(self.store_dir)[1:]
-        command = " ".join(shlex.quote(arg) for arg in argv)
-        return [command] * self.workers
+        def command(argv: List[str]) -> str:
+            return " ".join(shlex.quote(arg) for arg in ["python"] + argv)
+
+        worker = worker_argv(self.store_dir)[1:]
+        lines = [command(worker)] * self.workers
+        if self.strategy is not None:
+            lines.insert(0, command(worker[:3] + ["propose"] + worker[4:]))
+        return lines
 
     def spawn_worker(self) -> subprocess.Popen:
         """Start one local worker subprocess (repro importable via env)."""
@@ -1131,7 +1224,7 @@ class Dispatcher:
 
     # ------------------------------------------------------------------ #
     def progress(self) -> Dict[str, object]:
-        """One snapshot: point counts, shard states and the wall_s-driven ETA.
+        """One :func:`fleet_progress` snapshot plus the per-worker telemetry.
 
         The store view is kept open across snapshots and refreshed with the
         incremental :meth:`~repro.dse.store.ExperimentStore.reload`, so a
@@ -1143,24 +1236,10 @@ class Dispatcher:
             self._progress_store = ExperimentStore(self.store_dir)
         else:
             self._progress_store.reload()
-        store = self._progress_store
-        counts = self.ledger.status_counts()
-        total = self.space.size
-        done_points = len(store)
-        pending = max(0, total - done_points)
-        eta_s = estimate_eta_s(pending, store.wall_timings(),
-                               max(1, counts["active"]))
-        return {
-            "points_done": done_points,
-            "points_total": total,
-            "points_pending": pending,
-            "shards": counts,
-            "eta_s": eta_s,
-            "workers": telemetry_summary(self.store_dir),
-        }
-
-    def _alive(self) -> List[subprocess.Popen]:
-        return [proc for proc in self._procs if proc.poll() is None]
+        snapshot = fleet_progress(self._progress_store, self.manifest,
+                                  self.ledger)
+        snapshot["workers"] = telemetry_summary(self.store_dir)
+        return snapshot
 
     def _reap_and_respawn(self) -> None:
         """Replace workers that died abnormally, within the respawn budget."""
@@ -1177,27 +1256,33 @@ class Dispatcher:
     def run(self, *, timeout_s: Optional[float] = None,
             on_progress: Optional[Callable[[Dict[str, object]], None]] = None,
             progress_interval_s: float = 2.0) -> Dict[str, object]:
-        """Prepare, spawn local workers, and watch until every shard is done.
+        """Prepare, spawn local workers, and wait until the run completes.
 
-        Dead workers' shards are reclaimed by the survivors through lease
+        Dead workers' units are reclaimed by the survivors through lease
         expiry; workers that *exited* abnormally are additionally respawned
         (the reclaim still happens through the ledger -- respawn just keeps
-        N workers pulling).  Returns a summary dictionary; ``complete`` is
-        False when the run timed out or every worker stopped with shards
-        unfinished and the respawn budget exhausted.
+        N workers pulling).  Returns a summary dictionary (for an adaptive
+        dispatch it also carries the proposer's ``batches``,
+        ``evaluations``, ``best`` and, for multi-objective strategies,
+        ``frontier``); ``complete`` is False when the run timed out or
+        every worker stopped with work unfinished and the respawn budget
+        exhausted.
         """
 
+        # The dispatch span is the cross-process parent traced workers hang
+        # their root spans under (spawn_worker_process stamps the open span
+        # into their environment).
         with span("dse.dispatch", workers=self.workers,
-                  shards=self.shards) as trace:
+                  **_mode_fields(self.manifest)) as trace:
             summary = self._run(timeout_s=timeout_s, on_progress=on_progress,
                                 progress_interval_s=progress_interval_s)
             trace.set(complete=summary["complete"], points=summary["points"],
                       respawned=summary["respawned"])
         tracer = current_tracer()
         if tracer is not None:
-            # The workers joined this trace (spawn_worker_process stamped
-            # the context) and flushed their spans to shard files; fold
-            # them in so the ordinary --trace flush writes one fleet trace.
+            # The workers joined this trace and flushed their spans to
+            # shard files; fold them in so the ordinary --trace flush
+            # writes one fleet trace.
             summary["trace"] = adopt_shards(tracer, self.store_dir)
         return summary
 
@@ -1208,31 +1293,34 @@ class Dispatcher:
         started = time.monotonic()
         self._procs = [self.spawn_worker() for _ in range(self.workers)]
         last_report = -float("inf")
-        complete = False
+
+        def tick() -> None:
+            """One wait poll: timeout, respawn, fleet liveness, progress."""
+
+            nonlocal last_report
+            if timeout_s is not None and time.monotonic() - started > timeout_s:
+                raise _Abort
+            self._reap_and_respawn()
+            if not any(proc.poll() is None for proc in self._procs):
+                # Every worker exited (cleanly or beyond the respawn
+                # budget) with work unfinished: nobody is left to do it.
+                raise _Abort
+            if (on_progress is not None
+                    and time.monotonic() - last_report >= progress_interval_s):
+                last_report = time.monotonic()
+                on_progress(self.progress())
+
+        outcome: Dict[str, object] = {}
         try:
-            while True:
-                if self.ledger.all_done():
-                    complete = True
-                    break
-                if timeout_s is not None and time.monotonic() - started > timeout_s:
-                    break
-                self._reap_and_respawn()
-                if not self._alive():
-                    # Every worker exited (cleanly or beyond the respawn
-                    # budget) with shards unfinished: nobody is left to
-                    # reclaim them.
-                    complete = self.ledger.all_done()
-                    break
-                if (on_progress is not None
-                        and time.monotonic() - last_report >= progress_interval_s):
-                    last_report = time.monotonic()
-                    on_progress(self.progress())
-                time.sleep(self.poll_s)
+            outcome = self._wait(tick)
+            complete = True
+        except _Abort:
+            complete = self.ledger.all_done()
         finally:
-            # Workers exit by themselves once every shard is done; anything
+            # Workers exit by themselves once the run is done; anything
             # still running after a grace period (timeout/abort paths) is
             # terminated so the dispatcher never leaks processes.
-            deadline = time.monotonic() + max(5.0, 4 * self.poll_s)
+            deadline = time.monotonic() + max(5.0, 20 * self.poll_s)
             for proc in self._procs:
                 remaining = max(0.1, deadline - time.monotonic())
                 try:
@@ -1247,11 +1335,33 @@ class Dispatcher:
         snapshot = self.progress()
         if on_progress is not None:
             on_progress(snapshot)
-        return {
+        outcome.update({
             "complete": complete,
             "elapsed_s": time.monotonic() - started,
             "respawned": self.respawned,
             "points": snapshot["points_done"],
             "points_total": snapshot["points_total"],
-            "shards": snapshot["shards"],
-        }
+            "leases": snapshot["leases"],
+        })
+        return outcome
+
+    def _wait(self, tick: Callable[[], None]) -> Dict[str, object]:
+        """The mode's wait step; ``tick`` raises :class:`_Abort` to give up.
+
+        A grid dispatch polls the ledger until every shard is done.  An
+        adaptive dispatch runs the proposal loop, which ticks on every
+        result poll, and returns its summary -- with the per-batch proposer
+        trace under ``proposals`` (``trace`` names the merged fleet trace).
+        """
+
+        if self.strategy is None:
+            while not self.ledger.all_done():
+                tick()
+                time.sleep(self.poll_s)
+            return {}
+        from repro.dse.adaptive.protocol import run_proposer
+
+        outcome = run_proposer(self.store_dir, manifest=self.manifest,
+                               poll_s=self.poll_s, tick=tick)
+        outcome["proposals"] = outcome.pop("trace")
+        return outcome

@@ -482,7 +482,8 @@ class FleetMonitor:
                  k: float = DEFAULT_MAD_K,
                  stall_fraction: float = DEFAULT_STALL_FRACTION,
                  clock=None) -> None:
-        from repro.dse.dispatch import DEFAULT_TTL_S, LeaseClock, read_manifest
+        from repro.dse.dispatch import (DEFAULT_TTL_S, LeaseClock, open_ledger,
+                                        read_manifest)
 
         self.store_dir = Path(store_dir)
         self.bucket_s = float(bucket_s)
@@ -502,43 +503,28 @@ class FleetMonitor:
             self.ttl_s = float(self.manifest.get("ttl_s", DEFAULT_TTL_S))
         else:
             self.ttl_s = DEFAULT_TTL_S
+        self.ledger = (open_ledger(self.store_dir, self.manifest,
+                                   ttl_s=self.ttl_s, clock=self.clock)
+                       if self.manifest is not None else None)
         self._store = None
 
     def _progress(self) -> Dict[str, object]:
-        """Dispatcher-style progress from the store's own records."""
+        """The :func:`~repro.dse.dispatch.fleet_progress` of the store
+        (just ``points_done`` for an undispatched one)."""
 
-        from repro.dse.dispatch import ShardLedger, estimate_eta_s
-        from repro.dse.space import DesignSpace
+        from repro.dse.dispatch import fleet_progress
         from repro.dse.store import ExperimentStore
 
-        progress: Dict[str, object] = {}
         try:
             if self._store is None:
                 self._store = ExperimentStore(self.store_dir)
             else:
                 self._store.reload()
         except (OSError, ValueError):
-            return progress
-        progress["points_done"] = len(self._store)
+            return {}
         if self.manifest is None:
-            return progress
-        space = DesignSpace.from_dict(self.manifest["space"])
-        total = space.size
-        pending = max(0, total - len(self._store))
-        progress["points_total"] = total
-        progress["points_pending"] = pending
-        active = 1
-        if self.manifest.get("mode", "shards") == "shards":
-            ledger = ShardLedger.for_store(self.store_dir,
-                                           self.manifest["shards"],
-                                           ttl_s=self.ttl_s,
-                                           clock=self.clock)
-            counts = ledger.status_counts()
-            progress["shards"] = counts
-            active = max(1, counts["active"])
-        progress["eta_s"] = estimate_eta_s(pending,
-                                           self._store.wall_timings(), active)
-        return progress
+            return {"points_done": len(self._store)}
+        return fleet_progress(self._store, self.manifest, self.ledger)
 
     def snapshot(self) -> Dict[str, object]:
         """Poll everything and assemble one :func:`render_top` snapshot."""
@@ -578,7 +564,8 @@ def render_top(snapshot: Dict[str, object], *,
     """Render one ``dse top`` frame from an assembled snapshot.
 
     ``snapshot`` carries ``store`` (label), ``progress`` (the
-    dispatcher-style points/shards/eta dict, may be partial), ``workers``
+    :func:`~repro.dse.dispatch.fleet_progress` points/leases/eta dict, may
+    be partial), ``workers``
     (the telemetry summary), ``timeline`` (:func:`fold_timeline` output),
     ``stragglers`` (:func:`detect_stragglers` output) and ``ttl_s``.  Pure
     text in, pure text out: a fixed snapshot renders byte-identically,
@@ -604,12 +591,12 @@ def render_top(snapshot: Dict[str, object], *,
         pending = progress.get("points_pending")
         if pending:
             header += f" ({pending} pending)"
-    shards = progress.get("shards")
-    if shards:
-        header += (f" | shards {shards.get('done', 0)} done"
-                   f" / {shards.get('active', 0)} active"
-                   f" / {shards.get('expired', 0)} expired"
-                   f" / {shards.get('open', 0)} open")
+    leases = progress.get("leases")
+    if leases:
+        header += (f" | leases {leases.get('done', 0)} done"
+                   f" / {leases.get('active', 0)} active"
+                   f" / {leases.get('expired', 0)} expired"
+                   f" / {leases.get('open', 0)} open")
     eta_s = progress.get("eta_s")
     if eta_s is not None:
         from repro.dse.dispatch import format_eta

@@ -417,29 +417,3 @@ def flatten(per_task_records: List[List[ExperimentRecord]]) -> List[ExperimentRe
     """Concatenate per-task record lists into one flat record list."""
 
     return [record for records in per_task_records for record in records]
-
-
-def shard_worker(store_dir, *, owner: Optional[str] = None,
-                 jobs: Optional[int] = None) -> Dict[str, object]:
-    """Entry point for one dispatched DSE worker process.
-
-    This is what ``python -m repro dse worker --store DIR`` (and the
-    dispatchers' locally spawned subprocesses) execute: read the dispatch
-    manifest from the store directory, then lease work one unit at a time
-    -- static shards from the :class:`~repro.dse.dispatch.ShardLedger`, or
-    proposal batches from the adaptive
-    :class:`~repro.dse.adaptive.protocol.ProposalLedger` when the manifest
-    declares ``mode: "adaptive"`` -- evaluating each with lease-renewal
-    heartbeats and marking it done, until the run completes.  All
-    coordination logic lives in :mod:`repro.dse.dispatch` and
-    :mod:`repro.dse.adaptive.protocol`; this function is the process-level
-    entry so every worker, local or remote, starts the same way.
-
-    Returns the worker summary of :func:`repro.dse.dispatch.run_worker`.
-    """
-
-    # Imported lazily: repro.dse.runner imports this module, so a top-level
-    # import would be circular.
-    from repro.dse.dispatch import run_worker
-
-    return run_worker(store_dir, owner=owner, jobs=jobs)

@@ -32,8 +32,8 @@ from repro.dse import (
     ProposalLedger,
     Shard,
     make_strategy,
-    run_adaptive_worker,
     run_proposer,
+    run_worker,
     write_manifest,
 )
 from repro.dse.adaptive.model import (
@@ -675,7 +675,7 @@ class TestProposeEvaluateProtocol:
         store_dir = tmp_path / "dispatched"
         self._manifest(store_dir, strategy)
         worker = threading.Thread(
-            target=run_adaptive_worker, args=(store_dir,),
+            target=run_worker, args=(store_dir,),
             kwargs=dict(owner="threaded-worker", idle_wait_s=0.02))
         worker.start()
         summary = run_proposer(store_dir, poll_s=0.02)
@@ -713,7 +713,7 @@ class TestProposeEvaluateProtocol:
         # The restarted proposer replays batch 1 from the ledger, then runs
         # the remaining batches; a worker thread evaluates them.
         worker = threading.Thread(
-            target=run_adaptive_worker, args=(store_dir,),
+            target=run_worker, args=(store_dir,),
             kwargs=dict(owner="threaded-worker", idle_wait_s=0.02))
         worker.start()
         summary = run_proposer(store_dir, poll_s=0.02)
@@ -747,7 +747,7 @@ class TestProposeEvaluateProtocol:
             path.unlink()  # the parts the kill prevented
 
         worker = threading.Thread(
-            target=run_adaptive_worker, args=(store_dir,),
+            target=run_worker, args=(store_dir,),
             kwargs=dict(owner="threaded-worker", idle_wait_s=0.02))
         worker.start()
         summary = run_proposer(store_dir, poll_s=0.02)
@@ -851,6 +851,22 @@ class TestAdaptiveCli:
         # The resolved budget is recorded so `dse status --eta` never has
         # to construct a proposer (space size 4 -> floor of two batches).
         assert manifest["strategy"]["max_evals"] == 4
+
+    def test_dispatch_adaptive_runs_to_completion(self, capsys, tmp_path):
+        # The proposer's per-batch trace must not be mistaken for the
+        # merged fleet trace when the dispatch is untraced.
+        store = tmp_path / "store"
+        assert main(["dse", "dispatch", "--apps", "QFT,BV", "--qubits", "8",
+                     "--topologies", "L3", "--capacities", "6,8",
+                     "--gates", "AM1,FM", "--strategy", "bayes",
+                     "--batch-size", "2", "--store", str(store),
+                     "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "Dispatch complete: 4 points (4 evaluations over 2 batches)" \
+            in out
+        assert "(respawned 0 worker(s))" in out
+        assert "Best point" in out
+        assert "Trace merge" not in out
 
     def test_status_eta_unbudgeted_adaptive_reports_unknown(self, capsys,
                                                             tmp_path):

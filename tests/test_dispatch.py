@@ -26,10 +26,13 @@ from repro.dse import (
     LeaseLost,
     ShardLedger,
     estimate_eta_s,
+    make_strategy,
     read_manifest,
+    run_proposer,
     run_worker,
     write_manifest,
 )
+from repro.dse.dispatch import WorkerTelemetry, open_ledger, telemetry_summary
 
 #: A fast 4-point space evaluated entirely with 8-qubit circuits.
 TINY_SPACE = dict(apps=("QFT", "BV"), qubits=(8,), topologies=("L3",),
@@ -51,53 +54,56 @@ def _export(store_dir: Path, output: Path) -> bytes:
 
 # --------------------------------------------------------------------------- #
 class TestShardLedger:
+    """The grid ledger's lease lifecycle, through name-keyed LeaseDir calls."""
+
     def test_claim_contention_single_winner(self, tmp_path):
         ledger = ShardLedger(tmp_path / "leases", 3)
-        assert ledger.claim(1, "worker-a") is True
-        assert ledger.claim(1, "worker-b") is False
-        assert ledger.owner_of(1) == "worker-a"
-        assert ledger.state(1).status == "active"
+        assert ledger.claim("shard-1of3", "worker-a") is True
+        assert ledger.claim("shard-1of3", "worker-b") is False
+        assert ledger.owner_of("shard-1of3") == "worker-a"
+        assert ledger.status_of("shard-1of3")[0] == "active"
 
     def test_heartbeat_renewal_defers_expiry(self, tmp_path):
         ledger = ShardLedger(tmp_path / "leases", 1, ttl_s=10.0)
-        assert ledger.claim(1, "worker-a")
-        _backdate(ledger.lease_path(1), by_s=9.5)  # one tick from expiring
-        assert ledger.renew(1, "worker-a") is True
-        state = ledger.state(1)
-        assert state.status == "active"
-        assert state.age_s < 1.0  # the heartbeat reset the clock
+        assert ledger.claim("shard-1of1", "worker-a")
+        # One tick from expiring:
+        _backdate(ledger.lease_path("shard-1of1"), by_s=9.5)
+        assert ledger.renew("shard-1of1", "worker-a") is True
+        status, _, age_s = ledger.status_of("shard-1of1")
+        assert status == "active"
+        assert age_s < 1.0  # the heartbeat reset the clock
 
     def test_expired_lease_is_reclaimed_by_takeover(self, tmp_path):
         ledger = ShardLedger(tmp_path / "leases", 2, ttl_s=5.0)
-        assert ledger.claim(1, "dead-worker")
-        _backdate(ledger.lease_path(1))
-        assert ledger.state(1).status == "expired"
-        assert ledger.claim(1, "survivor") is True
-        assert ledger.owner_of(1) == "survivor"
+        assert ledger.claim("shard-1of2", "dead-worker")
+        _backdate(ledger.lease_path("shard-1of2"))
+        assert ledger.status_of("shard-1of2")[0] == "expired"
+        assert ledger.claim("shard-1of2", "survivor") is True
+        assert ledger.owner_of("shard-1of2") == "survivor"
         # The dead worker's heartbeat now fails: it must stop working.
-        assert ledger.renew(1, "dead-worker") is False
-        assert ledger.renew(1, "survivor") is True
+        assert ledger.renew("shard-1of2", "dead-worker") is False
+        assert ledger.renew("shard-1of2", "survivor") is True
 
     def test_fresh_lease_cannot_be_taken_over(self, tmp_path):
         ledger = ShardLedger(tmp_path / "leases", 1, ttl_s=3600.0)
-        assert ledger.claim(1, "worker-a")
-        assert ledger.claim(1, "worker-b") is False
-        assert ledger.owner_of(1) == "worker-a"
+        assert ledger.claim("shard-1of1", "worker-a")
+        assert ledger.claim("shard-1of1", "worker-b") is False
+        assert ledger.owner_of("shard-1of1") == "worker-a"
 
     def test_release_marks_done_and_blocks_reclaim(self, tmp_path):
         ledger = ShardLedger(tmp_path / "leases", 2, ttl_s=5.0)
-        assert ledger.claim(2, "worker-a")
-        ledger.release(2, "worker-a", done=True)
-        assert ledger.state(2).status == "done"
-        assert not ledger.lease_path(2).exists()
+        assert ledger.claim("shard-2of2", "worker-a")
+        ledger.release("shard-2of2", "worker-a", done=True)
+        assert ledger.status_of("shard-2of2")[0] == "done"
+        assert not ledger.lease_path("shard-2of2").exists()
         # Done shards are never claimable again, even for another owner.
-        assert ledger.claim(2, "worker-b") is False
-        assert ledger.done_count() == 1
+        assert ledger.claim("shard-2of2", "worker-b") is False
+        assert ledger.status_counts()["done"] == 1
         assert not ledger.all_done()
 
     def test_renew_without_lease_fails(self, tmp_path):
         ledger = ShardLedger(tmp_path / "leases", 1)
-        assert ledger.renew(1, "worker-a") is False
+        assert ledger.renew("shard-1of1", "worker-a") is False
 
     def test_read_paths_do_not_create_the_directory(self, tmp_path):
         # `dse status --eta` inspects the ledger of stores it only queries
@@ -106,28 +112,28 @@ class TestShardLedger:
         ledger = ShardLedger(lease_dir, 2)
         assert ledger.status_counts() == {"open": 2, "active": 0,
                                           "expired": 0, "done": 0}
-        assert ledger.owner_of(1) is None
+        assert ledger.owner_of("shard-1of2") is None
         assert not ledger.all_done()
         assert not lease_dir.exists()
-        assert ledger.claim(1, "worker-a")  # first write creates it
+        assert ledger.claim("shard-1of2", "worker-a")  # first write creates it
         assert lease_dir.exists()
 
     def test_next_claim_partitions_workers(self, tmp_path):
         ledger = ShardLedger(tmp_path / "leases", 3)
-        claimed = [ledger.next_claim(owner) for owner in ("a", "b", "c")]
-        indices = sorted(shard.index for shard in claimed)
-        assert indices == [1, 2, 3]
-        for shard in claimed:
-            assert shard.count == 3
-        assert ledger.next_claim("d") is None  # everything leased
+        claimed = [ledger.claim_next(owner) for owner in ("a", "b", "c")]
+        assert sorted(claimed) == ledger.work_names() == \
+            ["shard-1of3", "shard-2of3", "shard-3of3"]
+        for name in claimed:
+            assert ledger.shard(name).count == 3
+        assert ledger.claim_next("d") is None  # everything leased
 
     def test_states_and_counts(self, tmp_path):
         ledger = ShardLedger(tmp_path / "leases", 4, ttl_s=5.0)
-        ledger.claim(1, "a")
-        ledger.claim(2, "b")
-        _backdate(ledger.lease_path(2))
-        ledger.claim(3, "c")
-        ledger.release(3, "c", done=True)
+        ledger.claim("shard-1of4", "a")
+        ledger.claim("shard-2of4", "b")
+        _backdate(ledger.lease_path("shard-2of4"))
+        ledger.claim("shard-3of4", "c")
+        ledger.release("shard-3of4", "c", done=True)
         assert ledger.status_counts() == {"open": 1, "active": 1,
                                           "expired": 1, "done": 1}
 
@@ -138,7 +144,7 @@ class TestShardLedger:
             ShardLedger(tmp_path / "leases", 1, ttl_s=0.0)
         ledger = ShardLedger(tmp_path / "leases", 2)
         with pytest.raises(ValueError, match="1..2"):
-            ledger.claim(3, "worker-a")
+            ledger.shard("shard-3of2")
 
 
 # --------------------------------------------------------------------------- #
@@ -196,7 +202,8 @@ class TestWorkerLoop:
         store_dir = tmp_path / "store"
         write_manifest(store_dir, space, shards=3, ttl_s=60.0)
         summary = run_worker(store_dir, owner="solo")
-        assert sorted(summary["completed"]) == [1, 2, 3]
+        assert sorted(summary["completed"]) == \
+            ["shard-1of3", "shard-2of3", "shard-3of3"]
         assert summary["lost"] == []
         assert ShardLedger.for_store(store_dir, 3).all_done()
         assert len(ExperimentStore(store_dir)) == space.size
@@ -208,10 +215,10 @@ class TestWorkerLoop:
         ledger = ShardLedger.for_store(store_dir, 3, ttl_s=5.0)
         # A worker claimed shard 2, then was SIGKILLed: the lease stops
         # renewing and ages past the TTL.
-        assert ledger.claim(2, "dead-worker")
-        _backdate(ledger.lease_path(2))
+        assert ledger.claim("shard-2of3", "dead-worker")
+        _backdate(ledger.lease_path("shard-2of3"))
         summary = run_worker(store_dir, owner="survivor")
-        assert 2 in summary["completed"]
+        assert "shard-2of3" in summary["completed"]
         assert ledger.all_done()
         assert len(ExperimentStore(store_dir)) == space.size
 
@@ -226,8 +233,8 @@ class TestWorkerLoop:
         with ExperimentStore(store_dir, writer="shard-1of1") as store:
             partial = DSERunner(space, store=store, shard=Shard(1, 1))
             partial.evaluate(list(space.points())[:2])
-        assert ledger.claim(1, "dead-worker")
-        _backdate(ledger.lease_path(1))
+        assert ledger.claim("shard-1of1", "dead-worker")
+        _backdate(ledger.lease_path("shard-1of1"))
         run_worker(store_dir, owner="survivor")
         merged = ExperimentStore(store_dir)
         assert len(merged) == space.size
@@ -237,6 +244,77 @@ class TestWorkerLoop:
             lines += [json.loads(line)["fingerprint"]
                       for line in path.read_text().splitlines() if line]
         assert len(lines) == len(set(lines)) == space.size
+
+    @pytest.mark.parametrize("mode", ["grid", "adaptive"])
+    def test_lease_reclaimed_mid_unit(self, mode, tmp_path, monkeypatch):
+        """The loop's LeaseLost branch, in both dispatch modes.
+
+        Worker A's first unit is taken over (by backdating A's lease and
+        claiming it for a thief) right after A claims it, so A's first
+        heartbeat finds the lease gone mid-unit.  A must emit
+        ``lease_lost`` and write no ``.done`` for the unit; worker B, run
+        when A reports the loss, reclaims the thief's expired lease and
+        completes the run, whose export matches a serial run byte for byte.
+        """
+
+        import threading
+
+        space = DesignSpace(**TINY_SPACE)
+        strategy = {"name": "bayes", "seed": 5, "metric": "fidelity",
+                    "batch_size": 2}
+        with ExperimentStore(tmp_path / "serial") as store:
+            runner = DSERunner(space, store=store)
+            if mode == "grid":
+                runner.evaluate_space()
+            else:
+                runner.run(make_strategy("bayes", seed=5, batch_size=2))
+        serial = _export(tmp_path / "serial", tmp_path / "serial.json")
+
+        store_dir = tmp_path / "dispatched"
+        if mode == "grid":
+            # One shard holding every point: two task groups, so A's
+            # heartbeat after the first one finds the lease gone.
+            write_manifest(store_dir, space, shards=1, ttl_s=60.0)
+        else:
+            write_manifest(store_dir, space, mode="adaptive",
+                           strategy=strategy, ttl_s=60.0)
+        manifest = read_manifest(store_dir)
+        ledger = open_ledger(store_dir, manifest)
+        stolen = []
+        emit = WorkerTelemetry.emit
+
+        def spy(telemetry, event, **fields):
+            emit(telemetry, event, **fields)
+            if telemetry.owner != "worker-a":
+                return
+            if event == "claim" and not stolen:
+                stolen.append(fields["work"])
+                _backdate(ledger.lease_path(stolen[0]))
+                assert ledger.claim(stolen[0], "thief")
+                _backdate(ledger.lease_path(stolen[0]))  # thief dies too
+            elif event == "lease_lost":
+                run_worker(store_dir, owner="worker-b", idle_wait_s=0.02)
+
+        monkeypatch.setattr(WorkerTelemetry, "emit", spy)
+        proposer = None
+        if mode == "adaptive":
+            proposer = threading.Thread(
+                target=run_proposer, args=(store_dir,),
+                kwargs=dict(poll_s=0.02))
+            proposer.start()
+        summary = run_worker(store_dir, owner="worker-a", idle_wait_s=0.02)
+        if proposer is not None:
+            proposer.join(timeout=120.0)
+            assert not proposer.is_alive()
+
+        assert summary["lost"] == stolen
+        assert stolen[0] not in summary["completed"]
+        workers = telemetry_summary(store_dir)
+        assert workers["worker-a"]["lost"] == 1
+        done = json.loads(ledger.done_path(stolen[0]).read_text())
+        assert done["owner"] == "worker-b"
+        assert ledger.all_done()
+        assert _export(store_dir, tmp_path / "dispatched.json") == serial
 
     def test_heartbeat_lease_lost_aborts_mid_evaluation(self, tmp_path):
         space = DesignSpace(**TINY_SPACE)

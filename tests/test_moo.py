@@ -38,8 +38,8 @@ from repro.dse import (
     Shard,
     make_strategy,
     objective_value,
-    run_adaptive_worker,
     run_proposer,
+    run_worker,
     write_manifest,
 )
 from repro.dse.moo import (
@@ -546,7 +546,7 @@ class TestMOOProtocol:
         write_manifest(store_dir, space, mode="adaptive",
                        strategy=strategy, ttl_s=60.0)
         worker = threading.Thread(
-            target=run_adaptive_worker, args=(store_dir,),
+            target=run_worker, args=(store_dir,),
             kwargs=dict(owner="threaded-worker", idle_wait_s=0.02))
         worker.start()
         summary = run_proposer(store_dir, poll_s=0.02)

@@ -376,9 +376,9 @@ class TestLeaseClock:
         clock = LeaseClock(now_fn=fake)
         ledger = ShardLedger(tmp_path / "leases", 2, ttl_s=5.0, clock=clock)
         assert ledger.clock is clock
-        assert ledger.claim(1, "worker-a")
+        assert ledger.claim("shard-1of2", "worker-a")
         fake.t += 6.0
-        assert ledger.state(1).status == "expired"
+        assert ledger.status_of("shard-1of2")[0] == "expired"
         store_ledger = ShardLedger.for_store(tmp_path / "store", 2,
                                              clock=clock)
         assert store_ledger.clock is clock

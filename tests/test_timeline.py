@@ -367,6 +367,35 @@ class TestFleetMonitor:
         assert "stalled" in flagged["w0"][0]
 
 
+    def test_adaptive_progress_counts_the_budget(self, tmp_path, capsys):
+        # A bayes dispatch over a 24-point grid evaluates at most its
+        # budget of 8 points; `dse top` and `dse status --eta` must agree
+        # on 8 pending, not the grid's 24.
+        from repro.cli import main
+        from repro.dse import DesignSpace, Dispatcher
+
+        space = DesignSpace(apps=("QFT", "BV"), qubits=(16,),
+                            topologies=("L3",), capacities=(6, 8, 10),
+                            gates=("AM1", "AM2", "PM", "FM"))
+        assert space.size == 24
+        Dispatcher(space, tmp_path, workers=2,
+                   strategy={"name": "bayes", "seed": 0,
+                             "batch_size": 4}).prepare()
+        monitor = FleetMonitor(tmp_path, clock=FakeClock())
+        try:
+            progress = monitor.snapshot()["progress"]
+        finally:
+            monitor.close()
+        assert progress["points_total"] == 8
+        assert progress["points_pending"] == 8
+        assert progress["leases"] == {"open": 0, "active": 0,
+                                      "expired": 0, "done": 0}
+        assert main(["dse", "status", "--store", str(tmp_path),
+                     "--eta"]) == 0
+        assert "ETA: 8 pending points / 1 active worker(s)" in \
+            capsys.readouterr().out
+
+
 # --------------------------------------------------------------------------- #
 class TestSparkline:
     def test_levels_and_scaling(self):
